@@ -11,9 +11,10 @@ assignments, realigned to the dataset's ingestion order, and the total
 WCSS is the sum of the per-shard values.
 
 Per-worker seeds derive deterministically from (seed, worker_id), so
-results do not depend on execution order or transport.  The in-process
-transport drives workers directly; the socket transport (see `wire`)
-runs them as separate processes and must produce identical results.
+results do not depend on execution order or transport.  One round loop,
+`coordinate_rounds`, drives both transports: the in-process one calls the
+workers directly, the socket one (see `wire`) runs them as separate
+processes, and both must produce identical results.
 """
 
 from __future__ import annotations
@@ -188,6 +189,35 @@ def _prepare_features(
     return plan, matrices, time.perf_counter() - t0
 
 
+def coordinate_rounds(
+    matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int,
+    weight_by_shard_size: bool, kmeans_iters: int, exchange, finish,
+):
+    """The coordinator's round loop, shared by both transports.
+
+    exchange(i, consensus) runs round i on every worker (consensus is None
+    in round 1) and returns the reports in worker order; finish() ends the
+    workers and returns their retained assignments in worker order.
+    """
+    if max_rounds < 1:
+        raise ValueError("I must be at least 1")
+    master_seed = derive_seed(seed, 0)
+    shard_sizes = tuple(len(m) for m in matrices) if weight_by_shard_size else None
+    consensus: CentroidSet | None = None
+    for i in range(1, max_rounds + 1):
+        messages = exchange(i, consensus)
+        reports = [(m.worker_id, m.round) for m in messages]
+        if reports != [(wid, i) for wid in range(1, len(matrices) + 1)]:
+            raise ProtocolError(f"round {i} needs one report per worker in order, got {reports}")
+        converged = all(m.flag == 0 for m in messages)
+        if converged:
+            break
+        consensus = master_consensus(
+            messages, k, master_seed, shard_sizes=shard_sizes, max_iters=kmeans_iters
+        )
+    return finish(), tuple(m.centroids for m in messages), consensus, i, converged
+
+
 def _run_rounds(
     matrices: list[FeatureMatrix],
     k: int,
@@ -197,41 +227,22 @@ def _run_rounds(
     kmeans_iters: int,
 ):
     """Round loop over in-process workers; returns the combined final state."""
-    s = len(matrices)
-    worker_seeds = [derive_seed(seed, wid) for wid in range(1, s + 1)]
-    master_seed = derive_seed(seed, 0)
-    shard_sizes = tuple(len(m) for m in matrices) if weight_by_shard_size else None
+    worker_seeds = [derive_seed(seed, wid) for wid in range(1, len(matrices) + 1)]
+    retained: list[Assignment | None] = [None] * len(matrices)
 
-    retained: list[Assignment | None] = [None] * s
-    messages: list[RoundMessage] = []
-    consensus: CentroidSet | None = None
-    converged = False
-    rounds_used = 0
-    for i in range(1, max_rounds + 1):
+    def exchange(i: int, consensus: CentroidSet | None) -> list[RoundMessage]:
         messages = []
-        for wid in range(1, s + 1):
+        for wid, features in enumerate(matrices, start=1):
             msg, retained[wid - 1] = worker_round(
-                matrices[wid - 1],
-                consensus if i > 1 else None,
-                k,
-                worker_seeds[wid - 1],
-                i,
-                worker_id=wid,
-                prev=retained[wid - 1],
-                max_iters=kmeans_iters,
+                features, consensus, k, worker_seeds[wid - 1], i,
+                worker_id=wid, prev=retained[wid - 1], max_iters=kmeans_iters,
             )
             messages.append(msg)
-        rounds_used = i
-        if all(m.flag == 0 for m in messages):
-            converged = True
-            break
-        consensus = master_consensus(
-            messages, k, master_seed, shard_sizes=shard_sizes, max_iters=kmeans_iters
-        )
-    assert consensus is not None  # round 1 always flags, so a consensus exists
-    assignments = [a for a in retained if a is not None]
-    worker_centroids = tuple(m.centroids for m in messages)
-    return assignments, worker_centroids, consensus, rounds_used, converged
+        return messages
+
+    return coordinate_rounds(
+        matrices, k, seed, max_rounds, weight_by_shard_size, kmeans_iters, exchange, lambda: retained
+    )
 
 
 def run_dcc(
@@ -257,17 +268,14 @@ def run_dcc(
 
     t0 = time.perf_counter()
     if transport == "inproc":
-        assignments, worker_centroids, consensus, rounds_used, converged = _run_rounds(
-            matrices, k, seed, max_rounds, weight_consensus_by_shard_size, kmeans_iters
-        )
+        run_rounds = _run_rounds
     elif transport == "socket":
-        from .wire import run_socket_rounds
-
-        assignments, worker_centroids, consensus, rounds_used, converged = run_socket_rounds(
-            matrices, k, seed, max_rounds, weight_consensus_by_shard_size, kmeans_iters
-        )
+        from .wire import run_socket_rounds as run_rounds
     else:
         raise ValueError(f"unknown transport {transport!r}")
+    assignments, worker_centroids, consensus, rounds_used, converged = run_rounds(
+        matrices, k, seed, max_rounds, weight_consensus_by_shard_size, kmeans_iters
+    )
     kmeans_seconds = time.perf_counter() - t0
 
     labels_shard_order = np.concatenate([a.labels for a in assignments])

@@ -19,8 +19,11 @@ endian):
 
 A worker computes its first round immediately after SETUP; afterwards it
 answers every ROUND broadcast with its own ROUND report until STOP, then
-sends RESULT.  The transport carries IEEE doubles bit-exactly, so socket
-runs produce results identical to the in-process transport.
+sends RESULT.  The coordinator runs `dcc.coordinate_rounds`, as the
+in-process transport does, and doubles travel bit-exactly, so both give
+identical results.  A frame of the wrong kind or length, a flag byte
+other than 0 or 1, and a failed send or receive (naming the worker) raise
+ProtocolError, which the CLI reports as exit 3.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import struct
 
 import numpy as np
 
-from .dcc import ProtocolError, RoundMessage, derive_seed, master_consensus, worker_round
+from .dcc import ProtocolError, RoundMessage, coordinate_rounds, derive_seed, worker_round
+from .dcc import master_consensus  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .features import FeatureMatrix
 from .kmeans import Assignment, CentroidSet
 
@@ -40,6 +44,10 @@ KIND_ROUND = 2
 KIND_STOP = 3
 KIND_RESULT = 4
 
+_SETUP_HEAD = struct.Struct("<BIIQIII")  # kind, worker_id, K, seed, kmeans_iters, rows, L
+_ROUND_HEAD = struct.Struct("<BIIII")  # kind, round, worker_id, K, L
+_RESULT_HEAD = struct.Struct("<BII")  # kind, worker_id, n
+
 _TIMEOUT = 120.0
 
 
@@ -47,88 +55,111 @@ def _send_frame(conn: socket.socket, payload: bytes) -> None:
     conn.sendall(struct.pack("<I", len(payload)) + payload)
 
 
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
+def _recv_exact(conn: socket.socket, n: int) -> bytearray:
+    buf = memoryview(bytearray(n))
+    got = 0
+    while got < n:
+        chunk = conn.recv_into(buf[got:])
         if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        buf += chunk
-    return buf
+            raise ProtocolError(f"connection closed after {got} of {n} bytes")
+        got += chunk
+    return buf.obj
 
 
-def _recv_frame(conn: socket.socket) -> bytes:
+def _recv_kind(conn: socket.socket, *kinds: int) -> bytearray:
+    """Receive one frame; raises ProtocolError unless its kind is one of kinds."""
     (length,) = struct.unpack("<I", _recv_exact(conn, 4))
-    return _recv_exact(conn, length)
+    payload = _recv_exact(conn, length)
+    if not payload or payload[0] not in kinds:
+        raise ProtocolError(f"expected frame kind {kinds}, got {payload[0] if payload else 'none'}")
+    return payload
+
+
+def _header(head: struct.Struct, payload: bytes) -> tuple:
+    if len(payload) < head.size:
+        raise ProtocolError(f"{len(payload)}-byte frame is shorter than its {head.size}-byte header")
+    return head.unpack_from(payload)
+
+
+def _check_size(payload: bytes, size: int) -> None:
+    if len(payload) != size:
+        raise ProtocolError(f"{len(payload)}-byte frame, its header implies {size} bytes")
 
 
 def pack_setup(worker_id: int, k: int, seed: int, kmeans_iters: int, rows: np.ndarray) -> bytes:
     n, length = rows.shape
-    head = struct.pack("<BIIQII", KIND_SETUP, worker_id, k, seed, kmeans_iters, n)
-    return head + struct.pack("<I", length) + rows.astype("<f8").tobytes()
+    head = _SETUP_HEAD.pack(KIND_SETUP, worker_id, k, seed, kmeans_iters, n, length)
+    return head + rows.astype("<f8").tobytes()
 
 
 def unpack_setup(payload: bytes):
-    worker_id, k, seed, kmeans_iters, n = struct.unpack_from("<IIQII", payload, 1)
-    (length,) = struct.unpack_from("<I", payload, 25)
-    rows = np.frombuffer(payload, dtype="<f8", count=n * length, offset=29).reshape(n, length)
-    return worker_id, k, seed, kmeans_iters, rows
+    _, worker_id, k, seed, kmeans_iters, n, length = _header(_SETUP_HEAD, payload)
+    _check_size(payload, _SETUP_HEAD.size + 8 * n * length)
+    # copied: rows left at payload offset 29 are misaligned and slow every Lloyd pass
+    rows = np.frombuffer(payload, dtype="<f8", count=n * length, offset=_SETUP_HEAD.size)
+    return worker_id, k, seed, kmeans_iters, rows.reshape(n, length).astype(np.float64)
 
 
 def pack_round(message: RoundMessage) -> bytes:
     c = message.centroids.centroids
-    head = struct.pack("<BIIII", KIND_ROUND, message.round, message.worker_id, c.shape[0], c.shape[1])
+    head = _ROUND_HEAD.pack(KIND_ROUND, message.round, message.worker_id, c.shape[0], c.shape[1])
     return head + c.astype("<f8").tobytes() + struct.pack("<B", message.flag)
 
 
 def unpack_round(payload: bytes) -> RoundMessage:
-    round_index, worker_id, k, length = struct.unpack_from("<IIII", payload, 1)
-    c = np.frombuffer(payload, dtype="<f8", count=k * length, offset=17).reshape(k, length)
-    (flag,) = struct.unpack_from("<B", payload, 17 + 8 * k * length)
-    return RoundMessage(
-        worker_id=worker_id, round=round_index, centroids=CentroidSet(centroids=c), flag=flag
-    )
+    _, round_index, worker_id, k, length = _header(_ROUND_HEAD, payload)
+    _check_size(payload, _ROUND_HEAD.size + 8 * k * length + 1)
+    c = np.frombuffer(payload, dtype="<f8", count=k * length, offset=_ROUND_HEAD.size)
+    try:  # RoundMessage checks the flag byte
+        centroids = CentroidSet(centroids=c.reshape(k, length))
+        return RoundMessage(worker_id=worker_id, round=round_index, centroids=centroids, flag=payload[-1])
+    except ValueError as exc:
+        raise ProtocolError(f"bad ROUND frame: {exc}") from exc
 
 
 def pack_result(worker_id: int, labels: np.ndarray, wcss: float) -> bytes:
-    head = struct.pack("<BII", KIND_RESULT, worker_id, len(labels))
+    head = _RESULT_HEAD.pack(KIND_RESULT, worker_id, len(labels))
     return head + labels.astype("<u4").tobytes() + struct.pack("<d", wcss)
 
 
 def unpack_result(payload: bytes):
-    worker_id, n = struct.unpack_from("<II", payload, 1)
-    labels = np.frombuffer(payload, dtype="<u4", count=n, offset=9).astype(np.int64)
-    (wcss,) = struct.unpack_from("<d", payload, 9 + 4 * n)
-    return worker_id, labels, wcss
+    _, worker_id, n = _header(_RESULT_HEAD, payload)
+    _check_size(payload, _RESULT_HEAD.size + 4 * n + 8)
+    labels = np.frombuffer(payload, dtype="<u4", count=n, offset=_RESULT_HEAD.size)
+    (wcss,) = struct.unpack_from("<d", payload, _RESULT_HEAD.size + 4 * n)
+    return worker_id, labels.astype(np.int64), wcss
 
 
 def worker_entry(host: str, port: int) -> None:
     """Worker process: SETUP, first round, then answer broadcasts until STOP."""
     with socket.create_connection((host, port), timeout=_TIMEOUT) as conn:
-        payload = _recv_frame(conn)
-        if payload[0] != KIND_SETUP:
-            raise ProtocolError("expected SETUP")
-        worker_id, k, seed, kmeans_iters, rows = unpack_setup(payload)
+        worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
         features = FeatureMatrix(rows=rows, D_min=0.0, D_max=1.0)  # bounds unused here
 
-        round_index = 1
-        incoming = None
-        prev = None
+        round_index, incoming, prev = 1, None, None
         while True:
             message, prev = worker_round(
                 features, incoming, k, seed, round_index,
                 worker_id=worker_id, prev=prev, max_iters=kmeans_iters,
             )
             _send_frame(conn, pack_round(message))
-            payload = _recv_frame(conn)
+            payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
             if payload[0] == KIND_STOP:
                 _send_frame(conn, pack_result(worker_id, prev.labels, prev.wcss))
                 return
-            if payload[0] != KIND_ROUND:
-                raise ProtocolError(f"unexpected frame kind {payload[0]}")
             broadcast = unpack_round(payload)
-            incoming = broadcast.centroids
-            round_index = broadcast.round
+            incoming, round_index = broadcast.centroids, broadcast.round
+
+
+def _per_worker(conns: list[socket.socket], op) -> list:
+    """op(wid, conn) for every connection in worker order; a failure names the worker."""
+    out = []
+    for wid, conn in enumerate(conns, start=1):
+        try:
+            out.append(op(wid, conn))
+        except (OSError, ProtocolError) as exc:
+            raise ProtocolError(f"worker {wid}: {exc}") from exc
+    return out
 
 
 def run_socket_rounds(
@@ -140,88 +171,47 @@ def run_socket_rounds(
     kmeans_iters: int,
 ):
     """Coordinator side; same return shape and values as the in-process loop."""
-    s = len(matrices)
-    shard_sizes = tuple(len(m) for m in matrices) if weight_by_shard_size else None
-    master_seed = derive_seed(seed, 0)
-
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     procs = []
     conns: list[socket.socket] = []
+
+    def exchange(i: int, consensus: CentroidSet | None) -> list[RoundMessage]:
+        if i == 1:  # start the workers; the wid-th accepted connection serves shard wid
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(len(matrices))
+            listener.settimeout(_TIMEOUT)
+            for _ in matrices:
+                p = ctx.Process(target=worker_entry, args=listener.getsockname(), daemon=True)
+                p.start()
+                procs.append(p)
+            for _ in matrices:
+                conn, _ = listener.accept()
+                conn.settimeout(_TIMEOUT)
+                conns.append(conn)
+            _per_worker(conns, lambda wid, conn: _send_frame(
+                conn, pack_setup(wid, k, derive_seed(seed, wid), kmeans_iters, matrices[wid - 1].rows)
+            ))
+        else:
+            _per_worker(conns, lambda wid, conn: _send_frame(
+                conn, pack_round(RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))
+            ))
+        return _per_worker(conns, lambda wid, conn: unpack_round(_recv_kind(conn, KIND_ROUND)))
+
+    def stop(wid: int, conn: socket.socket) -> Assignment:
+        _send_frame(conn, struct.pack("<B", KIND_STOP))
+        worker_id, labels, wcss = unpack_result(_recv_kind(conn, KIND_RESULT))
+        if worker_id != wid:
+            raise ProtocolError(f"RESULT names worker {worker_id}")
+        return Assignment(labels=labels, wcss=wcss)
+
     try:
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(s)
-        listener.settimeout(_TIMEOUT)
-        host, port = listener.getsockname()
-        for _ in range(s):
-            p = ctx.Process(target=worker_entry, args=(host, port), daemon=True)
-            p.start()
-            procs.append(p)
-        for _ in range(s):
-            conn, _ = listener.accept()
-            conn.settimeout(_TIMEOUT)
-            conns.append(conn)
-        # the wid-th accepted connection serves shard wid; SETUP pins the identity
-        for wid, conn in enumerate(conns, start=1):
-            _send_frame(
-                conn,
-                pack_setup(wid, k, derive_seed(seed, wid), kmeans_iters, matrices[wid - 1].rows),
-            )
-
-        consensus: CentroidSet | None = None
-        messages: list[RoundMessage] = []
-        converged = False
-        rounds_used = 0
-        for i in range(1, max_rounds + 1):
-            gathered: dict[int, RoundMessage] = {}
-            for conn in conns:
-                payload = _recv_frame(conn)
-                if payload[0] != KIND_ROUND:
-                    raise ProtocolError(f"unexpected frame kind {payload[0]}")
-                message = unpack_round(payload)
-                if message.round != i:
-                    raise ProtocolError(f"worker {message.worker_id} answered round {message.round}, expected {i}")
-                gathered[message.worker_id] = message
-            if sorted(gathered) != list(range(1, s + 1)):
-                raise ProtocolError("missing worker message(s)")
-            messages = [gathered[wid] for wid in range(1, s + 1)]
-            rounds_used = i
-            if all(m.flag == 0 for m in messages):
-                converged = True
-                break
-            consensus = master_consensus(
-                messages, k, master_seed, shard_sizes=shard_sizes, max_iters=kmeans_iters
-            )
-            if i == max_rounds:
-                break
-            for wid, conn in enumerate(conns, start=1):
-                _send_frame(
-                    conn,
-                    pack_round(
-                        RoundMessage(worker_id=wid, round=i + 1, centroids=consensus, flag=1)
-                    ),
-                )
-
-        results: dict[int, tuple[np.ndarray, float]] = {}
-        for conn in conns:
-            _send_frame(conn, struct.pack("<B", KIND_STOP))
-        for conn in conns:
-            payload = _recv_frame(conn)
-            if payload[0] != KIND_RESULT:
-                raise ProtocolError(f"unexpected frame kind {payload[0]}")
-            worker_id, labels, wcss = unpack_result(payload)
-            results[worker_id] = (labels, wcss)
-        if sorted(results) != list(range(1, s + 1)):
-            raise ProtocolError("missing worker result(s)")
-
-        assert consensus is not None
-        assignments = [
-            Assignment(labels=results[wid][0], wcss=results[wid][1]) for wid in range(1, s + 1)
-        ]
-        worker_centroids = tuple(m.centroids for m in messages)
-        return assignments, worker_centroids, consensus, rounds_used, converged
+        return coordinate_rounds(
+            matrices, k, seed, max_rounds, weight_by_shard_size, kmeans_iters,
+            exchange, lambda: _per_worker(conns, stop),
+        )
     except (OSError, struct.error) as exc:
         raise ProtocolError(f"socket transport failed: {exc}") from exc
     finally:

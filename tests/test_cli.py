@@ -221,6 +221,15 @@ class TestExitCodes:
                 "elbow", "--input", str(data_csv), "--out", str(tmp_path / "x"), "--K", bad,
             ) == 1
 
+    def test_round_budget_below_one_is_data_error(self, data_csv, tmp_path):
+        out = tmp_path / "o"
+        for command, k in (("cluster", "2"), ("elbow", "2,3")):
+            for bad in ("0", "-1"):
+                assert run_cli(
+                    command, "--input", str(data_csv), "--out", str(out), "--K", k, f"--I={bad}",
+                ) == 2
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli(
             "cluster", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"),

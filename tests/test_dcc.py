@@ -205,6 +205,23 @@ class TestRunDcc:
         with pytest.raises(ValueError):
             run_dcc(dataset, k=0, s=2)
 
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_rejects_round_budget_below_one(self, dataset, transport):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="I must be at least 1"):
+                run_dcc(dataset, k=2, s=2, max_rounds=bad, transport=transport)
+
+    def test_reports_out_of_worker_order_are_a_protocol_fault(self):
+        def report(wid):
+            centroids = CentroidSet(centroids=np.full((1, 2), float(wid)))
+            return RoundMessage(worker_id=wid, round=1, centroids=centroids, flag=1)
+
+        matrices = [feature_matrix([[0.0, 0.0]]), feature_matrix([[1.0, 1.0]])]
+        with pytest.raises(ProtocolError, match="round 1"):
+            dcc_module.coordinate_rounds(
+                matrices, 1, 0, 5, False, 10, lambda i, consensus: [report(2), report(1)], list
+            )
+
 
 class TestElbowSweep:
     def test_single_cluster_single_shard_matches_grand_sse(self):

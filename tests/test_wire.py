@@ -1,7 +1,14 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from walshscape import CentroidSet, RoundMessage, generate_synthetic, run_dcc
+import walshscape.wire as wire
+from walshscape import CentroidSet, ProtocolError, RoundMessage, generate_synthetic, run_dcc
 from walshscape.wire import (
     pack_result,
     pack_round,
@@ -19,6 +26,7 @@ class TestFrames:
         worker_id, k, seed, iters, back = unpack_setup(payload)
         assert (worker_id, k, seed, iters) == (3, 2, 987654321012345, 1000)
         assert np.array_equal(back, rows)
+        assert back.flags.aligned
 
     def test_round_trip_preserves_doubles_bit_exactly(self, rng):
         centroids = CentroidSet(centroids=rng.normal(size=(4, 6)))
@@ -45,6 +53,50 @@ class TestFrames:
         assert payload[-1] == 1  # flag byte
 
 
+valid_frames = st.one_of(
+    st.builds(
+        lambda n, length: (unpack_setup, pack_setup(1, 2, 3, 4, np.ones((n, length)))),
+        st.integers(0, 4), st.integers(0, 4),
+    ),
+    st.builds(
+        lambda k, length, flag: (unpack_round, pack_round(RoundMessage(
+            worker_id=2, round=3, centroids=CentroidSet(centroids=np.ones((k, length))), flag=flag
+        ))),
+        st.integers(1, 4), st.integers(1, 4), st.integers(0, 1),
+    ),
+    st.builds(
+        lambda n: (unpack_result, pack_result(5, np.arange(1, n + 1), 1.5)), st.integers(0, 6)
+    ),
+)
+
+
+class TestMalformedFrames:
+    @given(valid_frames, st.data())
+    def test_truncated_or_extended_frame_is_a_protocol_fault(self, frame, data):
+        unpack, payload = frame
+        unpack(payload)
+        if data.draw(st.booleans(), label="truncate"):
+            bad = payload[: data.draw(st.integers(0, len(payload) - 1), label="keep")]
+        else:
+            bad = payload + data.draw(st.binary(min_size=1, max_size=16), label="extra")
+        with pytest.raises(ProtocolError):
+            unpack(bad)
+
+    @pytest.mark.parametrize("unpack", [unpack_setup, unpack_round, unpack_result])
+    def test_empty_frame_is_a_protocol_fault(self, unpack):
+        with pytest.raises(ProtocolError):
+            unpack(b"")
+
+    @pytest.mark.parametrize("round_index, flag", [(2, 2), (2, 255), (1, 0)])
+    def test_bad_flag_byte_is_a_protocol_fault(self, round_index, flag):
+        message = RoundMessage(
+            worker_id=1, round=round_index, centroids=CentroidSet(centroids=np.ones((2, 3))), flag=1
+        )
+        payload = pack_round(message)[:-1] + bytes([flag])
+        with pytest.raises(ProtocolError, match="flag"):
+            unpack_round(payload)
+
+
 class TestSocketTransport:
     def test_matches_in_process_results_exactly(self):
         dataset = generate_synthetic(25, 64, noise=0.05, seed=7)
@@ -58,6 +110,25 @@ class TestSocketTransport:
         assert inproc.wcss_per_shard == socketed.wcss_per_shard
         for a, b in zip(inproc.worker_centroids, socketed.worker_centroids):
             assert np.array_equal(a.centroids, b.centroids)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="only forked workers inherit the patched worker_round",
+    )
+    def test_dead_worker_is_named_promptly(self, monkeypatch):
+        real = wire.worker_round
+
+        def dies_in_round_3(*args, **kwargs):
+            if kwargs["worker_id"] == 2 and args[4] == 3:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wire, "worker_round", dies_in_round_3)
+        dataset = generate_synthetic(25, 64, noise=0.05, seed=7)  # K=4 runs 5 rounds
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"worker 2\b"):
+            run_dcc(dataset, k=4, s=3, length=40, seed=5, transport="socket")
+        assert time.monotonic() - t0 < wire._TIMEOUT / 10
 
     def test_unknown_transport_rejected(self):
         dataset = generate_synthetic(5, 32, noise=0.0, seed=0)
