@@ -32,7 +32,7 @@ from .features import (
     reduce_global_range,
 )
 from .kmeans import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
-from .series import Dataset, ShardPlan, make_shard_plan
+from .series import Dataset, DatasetError, ShardPlan, make_shard_plan
 
 DEFAULT_MAX_ROUNDS = 100
 DEFAULT_KMEANS_ITERS = 1000
@@ -182,16 +182,19 @@ def _prepare_features(
 ) -> tuple[ShardPlan, list[FeatureMatrix], float]:
     t0 = time.perf_counter()
     plan = make_shard_plan(dataset.N, s, seed)
-    shards = [[dataset.series[i] for i in plan.shard_indices(si)] for si in range(s)]
-    ranges = [local_ranges(shard) for shard in shards]
+    ranges = [local_ranges([dataset.series[i] for i in plan.shard_indices(si)]) for si in range(s)]
     global_range = reduce_global_range(ranges)  # all-shards barrier
-    matrices = [build_features(shard, global_range, length) for shard in shards]
+    if global_range.D_min == global_range.D_max:
+        raise DatasetError(
+            f"every series has the same Walsh range [{global_range.D_min}, {global_range.D_max}], "
+            "so there is nothing to cluster"
+        )
+    matrices = [build_features(r, global_range, length) for r in ranges]
     return plan, matrices, time.perf_counter() - t0
 
 
 def coordinate_rounds(
-    matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int,
-    weight_by_shard_size: bool, kmeans_iters: int, exchange, finish,
+    matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int, exchange, finish
 ):
     """The coordinator's round loop, shared by both transports.
 
@@ -202,7 +205,6 @@ def coordinate_rounds(
     if max_rounds < 1:
         raise ValueError("I must be at least 1")
     master_seed = derive_seed(seed, 0)
-    shard_sizes = tuple(len(m) for m in matrices) if weight_by_shard_size else None
     consensus: CentroidSet | None = None
     for i in range(1, max_rounds + 1):
         messages = exchange(i, consensus)
@@ -212,20 +214,11 @@ def coordinate_rounds(
         converged = all(m.flag == 0 for m in messages)
         if converged:
             break
-        consensus = master_consensus(
-            messages, k, master_seed, shard_sizes=shard_sizes, max_iters=kmeans_iters
-        )
+        consensus = master_consensus(messages, k, master_seed)
     return finish(), tuple(m.centroids for m in messages), consensus, i, converged
 
 
-def _run_rounds(
-    matrices: list[FeatureMatrix],
-    k: int,
-    seed: int,
-    max_rounds: int,
-    weight_by_shard_size: bool,
-    kmeans_iters: int,
-):
+def _run_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int):
     """Round loop over in-process workers; returns the combined final state."""
     worker_seeds = [derive_seed(seed, wid) for wid in range(1, len(matrices) + 1)]
     retained: list[Assignment | None] = [None] * len(matrices)
@@ -235,14 +228,12 @@ def _run_rounds(
         for wid, features in enumerate(matrices, start=1):
             msg, retained[wid - 1] = worker_round(
                 features, consensus, k, worker_seeds[wid - 1], i,
-                worker_id=wid, prev=retained[wid - 1], max_iters=kmeans_iters,
+                worker_id=wid, prev=retained[wid - 1],
             )
             messages.append(msg)
         return messages
 
-    return coordinate_rounds(
-        matrices, k, seed, max_rounds, weight_by_shard_size, kmeans_iters, exchange, lambda: retained
-    )
+    return coordinate_rounds(matrices, k, seed, max_rounds, exchange, lambda: retained)
 
 
 def run_dcc(
@@ -253,8 +244,6 @@ def run_dcc(
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     transport: str = "inproc",
-    weight_consensus_by_shard_size: bool = False,
-    kmeans_iters: int = DEFAULT_KMEANS_ITERS,
 ) -> ClusterResult:
     """Full pipeline: shard, extract features, iterate the round loop, combine.
 
@@ -274,7 +263,7 @@ def run_dcc(
     else:
         raise ValueError(f"unknown transport {transport!r}")
     assignments, worker_centroids, consensus, rounds_used, converged = run_rounds(
-        matrices, k, seed, max_rounds, weight_consensus_by_shard_size, kmeans_iters
+        matrices, k, seed, max_rounds
     )
     kmeans_seconds = time.perf_counter() - t0
 
@@ -301,7 +290,6 @@ def elbow_sweep(
     length: int = DEFAULT_LANDSCAPE_LENGTH,
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    kmeans_iters: int = DEFAULT_KMEANS_ITERS,
 ) -> list[ElbowPoint]:
     """Run the protocol once per K with features computed once and reused."""
     k_list = list(k_list)
@@ -311,7 +299,7 @@ def elbow_sweep(
     points = []
     for k in k_list:
         t0 = time.perf_counter()
-        assignments, _, _, _, _ = _run_rounds(matrices, k, seed, max_rounds, False, kmeans_iters)
+        assignments, _, _, _, _ = _run_rounds(matrices, k, seed, max_rounds)
         kmeans_seconds = time.perf_counter() - t0
         points.append(
             ElbowPoint(

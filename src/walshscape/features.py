@@ -6,6 +6,10 @@ the landscape grid is defined by the minimum and maximum transform values
 across ALL series, so an explicit all-shards reduction sits between the
 two phases.  Without it, shards would build features on inconsistent
 grids and the rows would not be comparable.
+
+A landscape depends only on the min and max of the series' transform, so
+each series is transformed once: `build_features` turns the (mins, maxs)
+arrays of `local_ranges` into rows with `tda.tent_rows`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .series import CategoricalSeries
-from .tda import landscape_grid
-from .wft import SeriesRange, fast_wft_batch, next_pow2
+from .tda import landscape_grid, tent_rows
+from .wft import fast_wft_batch, next_pow2
 
 DEFAULT_LANDSCAPE_LENGTH = 100
 
@@ -39,8 +43,6 @@ class FeatureMatrix:
     """Per-series landscapes of one shard, rows in the shard's series order."""
 
     rows: np.ndarray
-    D_min: float
-    D_max: float
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.float64))
@@ -64,52 +66,43 @@ def _padded_matrix(shard: Sequence[CategoricalSeries]) -> np.ndarray:
     return out
 
 
-def local_ranges(shard: Sequence[CategoricalSeries]) -> list[SeriesRange]:
-    """WFT value range of every series in the shard, in shard order."""
+def local_ranges(shard: Sequence[CategoricalSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """(mins, maxs) of every series' WFT coefficients, in shard order."""
     if not len(shard):
         raise ValueError("shard must not be empty")
     coeffs = fast_wft_batch(_padded_matrix(shard))
-    mins = coeffs.min(axis=1)
-    maxs = coeffs.max(axis=1)
-    return [SeriesRange(float(lo), float(hi)) for lo, hi in zip(mins, maxs)]
+    return coeffs.min(axis=1), coeffs.max(axis=1)
 
 
-def reduce_global_range(locals_: Iterable[Sequence[SeriesRange]]) -> GlobalRange:
-    """Combine per-shard range lists into the global (D_min, D_max)."""
-    d_min = np.inf
-    d_max = -np.inf
-    seen = False
-    for shard_ranges in locals_:
-        for r in shard_ranges:
-            seen = True
-            d_min = min(d_min, r.d_min)
-            d_max = max(d_max, r.d_max)
-    if not seen:
+def reduce_global_range(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> GlobalRange:
+    """Combine per-shard (mins, maxs) arrays into the global (D_min, D_max)."""
+    pairs = list(pairs)
+    if not pairs:
         raise ValueError("no ranges to reduce")
-    return GlobalRange(D_min=d_min, D_max=d_max)
+    return GlobalRange(
+        D_min=float(min(mins.min() for mins, _ in pairs)),
+        D_max=float(max(maxs.max() for _, maxs in pairs)),
+    )
 
 
 def build_features(
-    shard: Sequence[CategoricalSeries],
+    ranges: tuple[np.ndarray, np.ndarray],
     global_range: GlobalRange,
     length: int = DEFAULT_LANDSCAPE_LENGTH,
 ) -> FeatureMatrix:
-    """Length-`length` landscape of every series in the shard on the global grid.
+    """Length-`length` landscape of every series on the global grid.
 
+    ranges is the shard's `local_ranges` result; no transform runs here.
     Raises ValueError if any series range falls outside the global range,
     which signals a stale reduction.
     """
-    if not len(shard):
+    mins, maxs = ranges
+    if not len(mins):
         raise ValueError("shard must not be empty")
     grid = landscape_grid(global_range.D_min, global_range.D_max, length)
-    coeffs = fast_wft_batch(_padded_matrix(shard))
-    mins = coeffs.min(axis=1)
-    maxs = coeffs.max(axis=1)
     if mins.min() < global_range.D_min or maxs.max() > global_range.D_max:
         raise ValueError("series range outside the global range; recompute the reduction")
-    rows = np.minimum(grid[None, :] - mins[:, None], maxs[:, None] - grid[None, :])
-    np.maximum(rows, 0.0, out=rows)
-    return FeatureMatrix(rows=rows, D_min=global_range.D_min, D_max=global_range.D_max)
+    return FeatureMatrix(rows=tent_rows(grid, mins, maxs))
 
 
 def save_feature_csv(matrix: FeatureMatrix, path) -> None:

@@ -12,8 +12,9 @@ Because the diagram of a sublevel filtration always contains the point
     PL(l) = max_i min(g(l) - b_i, d_i - g(l))_+
 
 reduces to the closed form min(g(l) - d_min, d_max - g(l))_+ on the grid
-g.  Both forms are implemented; the diagram-based form serves as the
-correctness oracle for the closed form in the tests.
+g.  `tent_rows` is the one implementation of that tent: both
+`landscape_closed_form` and the feature pipeline call it.  The
+diagram-based form serves as the correctness oracle for it in the tests.
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ def landscape_grid(d_min: float, d_max: float, length: int) -> np.ndarray:
         raise ValueError("grid bounds must satisfy d_min < d_max")
     steps = np.arange(length, dtype=np.float64)
     return d_min + steps * (d_max - d_min) / (length - 1)
+
+
+def tent_rows(grid: np.ndarray, mins, maxs) -> np.ndarray:
+    """Row i is the tent min(g - mins[i], maxs[i] - g)_+ on the grid g."""
+    rows = np.minimum(grid - np.reshape(mins, (-1, 1)), np.reshape(maxs, (-1, 1)) - grid)
+    return np.maximum(rows, 0.0, out=rows)
 
 
 def sublevel_persistence(f) -> PersistenceDiagram:
@@ -187,5 +194,4 @@ def landscape_closed_form(
         raise ValueError(
             f"series range [{r.d_min}, {r.d_max}] lies outside grid bounds [{d_min}, {d_max}]"
         )
-    samples = np.maximum(np.minimum(grid - r.d_min, r.d_max - grid), 0.0)
-    return Landscape(samples=samples, D_min=d_min, D_max=d_max)
+    return Landscape(samples=tent_rows(grid, [r.d_min], [r.d_max])[0], D_min=d_min, D_max=d_max)

@@ -129,10 +129,8 @@ def _fwht_natural(values: np.ndarray) -> np.ndarray:
     h = 1
     while h < n:
         a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        x = a[..., 0, :].copy()
-        y = a[..., 1, :].copy()
-        a[..., 0, :] = x + y
-        a[..., 1, :] = x - y
+        x, y = a[..., 0, :], a[..., 1, :]
+        a[..., 0, :], a[..., 1, :] = x + y, x - y  # both sums exist before either write
         a = a.reshape(a.shape[:-3] + (n,))
         h *= 2
     return a

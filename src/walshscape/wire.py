@@ -19,22 +19,27 @@ endian):
 
 A worker computes its first round immediately after SETUP; afterwards it
 answers every ROUND broadcast with its own ROUND report until STOP, then
-sends RESULT.  The coordinator runs `dcc.coordinate_rounds`, as the
-in-process transport does, and doubles travel bit-exactly, so both give
-identical results.  A frame of the wrong kind or length, a flag byte
-other than 0 or 1, and a failed send or receive (naming the worker) raise
-ProtocolError, which the CLI reports as exit 3.
+sends RESULT; kmeans_iters is always `dcc.DEFAULT_KMEANS_ITERS`.  The
+coordinator runs `dcc.coordinate_rounds`, as the in-process transport
+does, and doubles travel bit-exactly, so both give identical results.  A
+frame of the wrong kind or length, a flag byte other than 0 or 1, a
+failed send or receive (naming the worker) and a worker process exiting
+before all have connected raise ProtocolError, which the CLI reports as
+exit 3.  A worker whose coordinator gave up exits 1 with one stderr line.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import socket
 import struct
+import sys
 
 import numpy as np
 
-from .dcc import ProtocolError, RoundMessage, coordinate_rounds, derive_seed, worker_round
+from .dcc import DEFAULT_KMEANS_ITERS, ProtocolError, RoundMessage, coordinate_rounds, derive_seed
+from .dcc import worker_round
 from .dcc import master_consensus  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .features import FeatureMatrix
 from .kmeans import Assignment, CentroidSet
@@ -131,24 +136,29 @@ def unpack_result(payload: bytes):
 
 
 def worker_entry(host: str, port: int) -> None:
-    """Worker process: SETUP, first round, then answer broadcasts until STOP."""
-    with socket.create_connection((host, port), timeout=_TIMEOUT) as conn:
-        worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
-        features = FeatureMatrix(rows=rows, D_min=0.0, D_max=1.0)  # bounds unused here
+    """Worker process: SETUP, first round, then answer broadcasts until STOP.
 
-        round_index, incoming, prev = 1, None, None
-        while True:
-            message, prev = worker_round(
-                features, incoming, k, seed, round_index,
-                worker_id=worker_id, prev=prev, max_iters=kmeans_iters,
-            )
-            _send_frame(conn, pack_round(message))
-            payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
-            if payload[0] == KIND_STOP:
-                _send_frame(conn, pack_result(worker_id, prev.labels, prev.wcss))
-                return
-            broadcast = unpack_round(payload)
-            incoming, round_index = broadcast.centroids, broadcast.round
+    A lost connection or a bad frame exits 1 with one stderr line, no traceback.
+    """
+    try:
+        with socket.create_connection((host, port), timeout=_TIMEOUT) as conn:
+            worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
+            features = FeatureMatrix(rows=rows)
+            round_index, incoming, prev = 1, None, None
+            while True:
+                message, prev = worker_round(
+                    features, incoming, k, seed, round_index,
+                    worker_id=worker_id, prev=prev, max_iters=kmeans_iters,
+                )
+                _send_frame(conn, pack_round(message))
+                payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
+                if payload[0] == KIND_STOP:
+                    _send_frame(conn, pack_result(worker_id, prev.labels, prev.wcss))
+                    return
+                broadcast = unpack_round(payload)
+                incoming, round_index = broadcast.centroids, broadcast.round
+    except (OSError, ProtocolError) as exc:
+        sys.exit(f"worker: {exc}")
 
 
 def _per_worker(conns: list[socket.socket], op) -> list:
@@ -162,14 +172,18 @@ def _per_worker(conns: list[socket.socket], op) -> list:
     return out
 
 
-def run_socket_rounds(
-    matrices: list[FeatureMatrix],
-    k: int,
-    seed: int,
-    max_rounds: int,
-    weight_by_shard_size: bool,
-    kmeans_iters: int,
-):
+def _await_connection(listener: socket.socket, procs: list) -> None:
+    """Block until a connection is pending; a worker process that exits first is a fault."""
+    sentinels = {p.sentinel: p for p in procs}
+    ready = multiprocessing.connection.wait([listener, *sentinels], _TIMEOUT)
+    for p in (sentinels[r] for r in ready if r is not listener):
+        p.join(1)
+        raise ProtocolError(f"worker process {p.name} exited with code {p.exitcode} during startup")
+    if not ready:
+        raise ProtocolError(f"no worker connected within {_TIMEOUT} s")
+
+
+def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int):
     """Coordinator side; same return shape and values as the in-process loop."""
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -182,17 +196,17 @@ def run_socket_rounds(
         if i == 1:  # start the workers; the wid-th accepted connection serves shard wid
             listener.bind(("127.0.0.1", 0))
             listener.listen(len(matrices))
-            listener.settimeout(_TIMEOUT)
             for _ in matrices:
                 p = ctx.Process(target=worker_entry, args=listener.getsockname(), daemon=True)
                 p.start()
                 procs.append(p)
             for _ in matrices:
+                _await_connection(listener, procs)
                 conn, _ = listener.accept()
                 conn.settimeout(_TIMEOUT)
                 conns.append(conn)
             _per_worker(conns, lambda wid, conn: _send_frame(
-                conn, pack_setup(wid, k, derive_seed(seed, wid), kmeans_iters, matrices[wid - 1].rows)
+                conn, pack_setup(wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1].rows)
             ))
         else:
             _per_worker(conns, lambda wid, conn: _send_frame(
@@ -209,8 +223,7 @@ def run_socket_rounds(
 
     try:
         return coordinate_rounds(
-            matrices, k, seed, max_rounds, weight_by_shard_size, kmeans_iters,
-            exchange, lambda: _per_worker(conns, stop),
+            matrices, k, seed, max_rounds, exchange, lambda: _per_worker(conns, stop)
         )
     except (OSError, struct.error) as exc:
         raise ProtocolError(f"socket transport failed: {exc}") from exc

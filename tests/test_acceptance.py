@@ -117,7 +117,8 @@ def test_c06_single_worker_protocol_degenerates_to_plain_lloyd():
 
     plan = make_shard_plan(dataset.N, 1, seed=3)
     shard = [dataset.series[i] for i in plan.shard_indices(0)]
-    features = build_features(shard, reduce_global_range([local_ranges(shard)]), 100)
+    ranges = local_ranges(shard)
+    features = build_features(ranges, reduce_global_range([ranges]), 100)
     assignment, _ = lloyd(features, init_uniform(features, 3, derive_seed(3, 1)))
 
     assert np.array_equal(result.labels, plan.restore(assignment.labels))
@@ -167,7 +168,7 @@ def test_c09_feature_extraction_speed_for_one_worker(rng):
     t0 = time.perf_counter()
     ranges = local_ranges(shard)
     global_range = reduce_global_range([ranges])
-    features = build_features(shard, global_range, 100)
+    features = build_features(ranges, global_range, 100)
     elapsed = time.perf_counter() - t0
     assert features.rows.shape == (2508, 100)
     assert elapsed < 10.0
@@ -177,8 +178,9 @@ def test_c09_feature_extraction_speed_for_one_worker(rng):
 def test_c10_total_wcss_is_additive_over_shards(planted_dataset, planted_run):
     plan = make_shard_plan(planted_dataset.N, 4, seed=7)
     shards = [[planted_dataset.series[i] for i in plan.shard_indices(s)] for s in range(4)]
-    global_range = reduce_global_range([local_ranges(sh) for sh in shards])
-    matrices = [build_features(sh, global_range, 100) for sh in shards]
+    ranges = [local_ranges(sh) for sh in shards]
+    global_range = reduce_global_range(ranges)
+    matrices = [build_features(r, global_range, 100) for r in ranges]
 
     labels_shard_order = planted_run.labels[plan.order]
     bounds = np.cumsum([len(m) for m in matrices])[:-1]

@@ -91,7 +91,8 @@ class TestCluster:
         from walshscape import build_features, local_ranges, reduce_global_range
 
         ds = load_dataset(data_csv)
-        fm = build_features(ds.series, reduce_global_range([local_ranges(ds.series)]), 100)
+        ranges = local_ranges(ds.series)
+        fm = build_features(ranges, reduce_global_range([ranges]), 100)
         grand = ((fm.rows - fm.rows.mean(axis=0)) ** 2).sum()
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["wcss"] == pytest.approx(grand, rel=1e-12)
@@ -103,7 +104,8 @@ class TestCluster:
         from walshscape import build_features, local_ranges, reduce_global_range
 
         ds = load_dataset(data_csv)
-        rows = build_features(ds.series, reduce_global_range([local_ranges(ds.series)]), 100).rows
+        ranges = local_ranges(ds.series)
+        rows = build_features(ranges, reduce_global_range([ranges]), 100).rows
 
         def global_mean_wcss(labels):
             return sum(
@@ -235,6 +237,14 @@ class TestExitCodes:
             "cluster", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"),
             "--K", "2",
         ) == 2
+
+    def test_all_zero_dataset_is_data_error(self, tmp_path, capsys):
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("id,t0,t1,t2,t3\n" + "".join(f"p{i},0,0,0,0\n" for i in range(4)))
+        out = tmp_path / "o"
+        assert run_cli("cluster", "--input", str(zeros), "--out", str(out), "--K", "2") == 2
+        assert "every series has the same Walsh range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

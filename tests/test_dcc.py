@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import walshscape.dcc as dcc_module
+import walshscape.features as features_module
 from walshscape import (
     Assignment,
     CentroidSet,
+    DatasetError,
     FeatureMatrix,
     ProtocolError,
     RoundMessage,
@@ -22,24 +24,45 @@ from walshscape import (
     worker_round,
 )
 
-from conftest import label_agreement, truth_labels
+from conftest import label_agreement, toy_dataset, truth_labels
 
 
 def feature_matrix(rows) -> FeatureMatrix:
     rows = np.asarray(rows, dtype=np.float64)
-    return FeatureMatrix(rows=rows, D_min=float(rows.min()), D_max=float(rows.max()))
+    return FeatureMatrix(rows=rows)
 
 
 def full_features(dataset, s_count, length, seed):
     plan = make_shard_plan(dataset.N, s_count, seed)
     shards = [[dataset.series[i] for i in plan.shard_indices(s)] for s in range(s_count)]
-    global_range = reduce_global_range([local_ranges(sh) for sh in shards])
-    return plan, [build_features(sh, global_range, length) for sh in shards]
+    ranges = [local_ranges(sh) for sh in shards]
+    global_range = reduce_global_range(ranges)
+    return plan, [build_features(r, global_range, length) for r in ranges]
 
 
 @pytest.fixture(scope="module")
 def dataset():
     return generate_synthetic(60, 96, noise=0.05, seed=7)
+
+
+class TestPrepareFeatures:
+    def test_each_shard_is_transformed_once(self, dataset, monkeypatch):
+        rows_per_call = []
+        real = features_module.fast_wft_batch
+
+        def counting(matrix):
+            rows_per_call.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(features_module, "fast_wft_batch", counting)
+        dcc_module._prepare_features(dataset, 3, 40, 1)
+        assert len(rows_per_call) == 3
+        assert sum(rows_per_call) == dataset.N
+
+    def test_identical_walsh_ranges_leave_nothing_to_cluster(self):
+        zeros = toy_dataset([[0] * 16] * 6, J=3)
+        with pytest.raises(DatasetError, match="same Walsh range"):
+            run_dcc(zeros, k=2, s=2)
 
 
 class TestDeriveSeed:
@@ -219,7 +242,7 @@ class TestRunDcc:
         matrices = [feature_matrix([[0.0, 0.0]]), feature_matrix([[1.0, 1.0]])]
         with pytest.raises(ProtocolError, match="round 1"):
             dcc_module.coordinate_rounds(
-                matrices, 1, 0, 5, False, 10, lambda i, consensus: [report(2), report(1)], list
+                matrices, 1, 0, 5, lambda i, consensus: [report(2), report(1)], list
             )
 
 

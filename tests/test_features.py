@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from walshscape import (
+    DatasetError,
     GlobalRange,
-    SeriesRange,
     build_features,
     fast_wft,
     generate_synthetic,
+    landscape_closed_form,
     landscape_from_diagram,
     local_ranges,
     make_shard_plan,
@@ -15,6 +19,7 @@ from walshscape import (
     sublevel_persistence,
     zero_pad,
 )
+from walshscape.dcc import _prepare_features
 from walshscape.features import save_feature_csv
 
 from conftest import toy_dataset
@@ -23,12 +28,14 @@ from conftest import toy_dataset
 class TestLocalRanges:
     def test_all_zero_series(self):
         ds = toy_dataset([[0, 0, 0, 0]], J=3)
-        assert local_ranges(ds.series) == [SeriesRange(0.0, 0.0)]
+        mins, maxs = local_ranges(ds.series)
+        assert np.array_equal(mins, [0.0]) and np.array_equal(maxs, [0.0])
 
     def test_single_minute_series(self):
         # T=1 pads to T2=1: the lone coefficient equals the value
         ds = toy_dataset([[2]], J=3)
-        assert local_ranges(ds.series) == [SeriesRange(2.0, 2.0)]
+        mins, maxs = local_ranges(ds.series)
+        assert np.array_equal(mins, [2.0]) and np.array_equal(maxs, [2.0])
 
     def test_matches_per_series_composition(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(20, 24)).tolist(), J=3)
@@ -36,7 +43,9 @@ class TestLocalRanges:
             series_range(fast_wft(zero_pad(s.values), t_original=len(s.values)))
             for s in ds.series
         ]
-        assert local_ranges(ds.series) == expected
+        mins, maxs = local_ranges(ds.series)
+        assert np.array_equal(mins, [r.d_min for r in expected])
+        assert np.array_equal(maxs, [r.d_max for r in expected])
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
@@ -45,11 +54,13 @@ class TestLocalRanges:
 
 class TestReduceGlobalRange:
     def test_two_shards(self):
-        combined = reduce_global_range([[SeriesRange(0, 3)], [SeriesRange(-1, 2)]])
+        combined = reduce_global_range(
+            [(np.array([0.0]), np.array([3.0])), (np.array([-1.0]), np.array([2.0]))]
+        )
         assert combined == GlobalRange(-1.0, 3.0)
 
     def test_single_range_identity(self):
-        assert reduce_global_range([[SeriesRange(-2.5, 4.5)]]) == GlobalRange(-2.5, 4.5)
+        assert reduce_global_range([(np.array([-2.5]), np.array([4.5]))]) == GlobalRange(-2.5, 4.5)
 
     def test_matches_flat_scan(self, rng):
         shards = []
@@ -58,12 +69,12 @@ class TestReduceGlobalRange:
             shard = []
             for _ in range(int(rng.integers(1, 5))):
                 lo, hi = np.sort(rng.normal(size=2))
-                shard.append(SeriesRange(float(lo), float(hi)))
-            shards.append(shard)
+                shard.append((float(lo), float(hi)))
+            shards.append((np.array([lo for lo, _ in shard]), np.array([hi for _, hi in shard])))
             flat.extend(shard)
         combined = reduce_global_range(shards)
-        assert combined.D_min == min(r.d_min for r in flat)
-        assert combined.D_max == max(r.d_max for r in flat)
+        assert combined.D_min == min(lo for lo, _ in flat)
+        assert combined.D_max == max(hi for _, hi in flat)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -75,24 +86,26 @@ class TestBuildFeatures:
         ds = toy_dataset(rng.integers(0, 3, size=(10, 32)).tolist(), J=3)
         ranges = local_ranges(ds.series)
         global_range = reduce_global_range([ranges])
-        fm = build_features(ds.series, global_range, 101)
+        fm = build_features(ranges, global_range, 101)
         spread = global_range.D_max - global_range.D_min
         # the widest-range series touches at most the midpoint peak
         assert fm.rows.max() <= spread / 2 + 1e-12
-        widest = int(np.argmax([r.d_max - r.d_min for r in ranges]))
-        if ranges[widest] == SeriesRange(global_range.D_min, global_range.D_max):
+        mins, maxs = ranges
+        widest = int(np.argmax(maxs - mins))
+        if (mins[widest], maxs[widest]) == (global_range.D_min, global_range.D_max):
             assert fm.rows[widest].max() == pytest.approx(spread / 2, abs=1e-12)
 
     def test_degenerate_series_gives_zero_row(self):
         ds = toy_dataset([[0, 0, 0, 0], [0, 1, 2, 0]], J=3)
-        fm = build_features(ds.series, GlobalRange(-5.0, 5.0), 10)
+        fm = build_features(local_ranges(ds.series), GlobalRange(-5.0, 5.0), 10)
         assert np.array_equal(fm.rows[0], np.zeros(10))
 
     def test_rows_match_diagram_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(8, 16)).tolist(), J=3)
-        global_range = reduce_global_range([local_ranges(ds.series)])
+        ranges = local_ranges(ds.series)
+        global_range = reduce_global_range([ranges])
         for length in (2, 7, 100):
-            fm = build_features(ds.series, global_range, length)
+            fm = build_features(ranges, global_range, length)
             for row, s in zip(fm.rows, ds.series):
                 diagram = sublevel_persistence(fast_wft(zero_pad(s.values)).coeffs)
                 oracle = landscape_from_diagram(
@@ -103,7 +116,7 @@ class TestBuildFeatures:
     def test_stale_global_range_detected(self):
         ds = toy_dataset([[0, 2, 1, 2]], J=3)
         with pytest.raises(ValueError, match="stale|outside"):
-            build_features(ds.series, GlobalRange(0.0, 0.5), 10)
+            build_features(local_ranges(ds.series), GlobalRange(0.0, 0.5), 10)
 
     def test_shard_split_does_not_change_features(self):
         ds = generate_synthetic(20, 64, noise=0.1, seed=11)
@@ -111,8 +124,9 @@ class TestBuildFeatures:
         for s_count in (1, 5):
             plan = make_shard_plan(ds.N, s_count, seed=4)
             shards = [[ds.series[i] for i in plan.shard_indices(s)] for s in range(s_count)]
-            global_range = reduce_global_range([local_ranges(sh) for sh in shards])
-            rows = np.vstack([build_features(sh, global_range, 50).rows for sh in shards])
+            ranges = [local_ranges(sh) for sh in shards]
+            global_range = reduce_global_range(ranges)
+            rows = np.vstack([build_features(r, global_range, 50).rows for r in ranges])
             restored = np.empty_like(rows)
             restored[plan.order] = rows
             matrices[s_count] = restored
@@ -120,20 +134,47 @@ class TestBuildFeatures:
 
     def test_interior_series_does_not_disturb_existing_rows(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(6, 32)).tolist(), J=3)
-        global_range = reduce_global_range([local_ranges(ds.series)])
-        base = build_features(ds.series, global_range, 40)
+        ranges = local_ranges(ds.series)
+        global_range = reduce_global_range([ranges])
+        base = build_features(ranges, global_range, 40)
         # the appended series barely moves, so its range is strictly interior
         from walshscape import CategoricalSeries
 
         quiet = CategoricalSeries(id="quiet", values=np.array([0] * 31 + [1]))
-        appended_range = local_ranges([quiet])[0]
-        assert global_range.D_min < appended_range.d_min <= appended_range.d_max < global_range.D_max
-        extended = build_features(ds.series + [quiet], global_range, 40)
+        (lo,), (hi,) = local_ranges([quiet])
+        assert global_range.D_min < lo <= hi < global_range.D_max
+        extended = build_features(local_ranges(ds.series + [quiet]), global_range, 40)
         assert np.array_equal(extended.rows[:6], base.rows)
 
     def test_feature_dump_reads_back(self, tmp_path, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(4, 16)).tolist(), J=3)
-        fm = build_features(ds.series, GlobalRange(-10.0, 10.0), 12)
+        fm = build_features(local_ranges(ds.series), GlobalRange(-10.0, 10.0), 12)
         path = tmp_path / "features.csv"
         save_feature_csv(fm, path)
         assert np.allclose(np.loadtxt(path, delimiter=","), fm.rows, atol=0, rtol=0)
+
+
+level_matrices = st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(2, 5)).flatmap(
+    lambda shape: arrays(np.int64, shape[:2], elements=st.integers(0, shape[2] - 1))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_matrices, st.data())
+def test_rows_equal_the_per_series_oracle_for_any_shard_split(levels, data):
+    s = data.draw(st.integers(1, len(levels)), label="S")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    length = data.draw(st.integers(2, 30), label="L")
+    ds = toy_dataset(levels.tolist(), J=5)
+    oracle = [series_range(fast_wft(zero_pad(v))) for v in levels]
+    d_min = min(r.d_min for r in oracle)
+    d_max = max(r.d_max for r in oracle)
+    if d_min == d_max:
+        with pytest.raises(DatasetError, match="same Walsh range"):
+            _prepare_features(ds, s, length, seed)
+        return
+    plan, matrices, _ = _prepare_features(ds, s, length, seed)
+    rows = np.vstack([m.rows for m in matrices])
+    for position, original in enumerate(plan.order):
+        expected = landscape_closed_form(oracle[original], d_min, d_max, length).samples
+        assert np.array_equal(rows[position], expected)

@@ -70,6 +70,12 @@ valid_frames = st.one_of(
 )
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only forked workers inherit a patched module",
+)
+
+
 class TestMalformedFrames:
     @given(valid_frames, st.data())
     def test_truncated_or_extended_frame_is_a_protocol_fault(self, frame, data):
@@ -111,11 +117,8 @@ class TestSocketTransport:
         for a, b in zip(inproc.worker_centroids, socketed.worker_centroids):
             assert np.array_equal(a.centroids, b.centroids)
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="only forked workers inherit the patched worker_round",
-    )
-    def test_dead_worker_is_named_promptly(self, monkeypatch):
+    @needs_fork
+    def test_dead_worker_is_named_promptly(self, monkeypatch, capfd):
         real = wire.worker_round
 
         def dies_in_round_3(*args, **kwargs):
@@ -129,6 +132,18 @@ class TestSocketTransport:
         with pytest.raises(ProtocolError, match=r"worker 2\b"):
             run_dcc(dataset, k=4, s=3, length=40, seed=5, transport="socket")
         assert time.monotonic() - t0 < wire._TIMEOUT / 10
+        # the surviving workers leave one line each, not a traceback
+        assert "Traceback" not in capfd.readouterr().err
+
+    @needs_fork
+    def test_worker_dead_before_connecting_is_named_promptly(self, monkeypatch):
+        monkeypatch.setattr(wire, "worker_entry", lambda host, port: os._exit(1))
+        monkeypatch.setattr(wire, "_TIMEOUT", 30.0)
+        dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"worker process \S+ exited with code 1"):
+            run_dcc(dataset, k=2, s=2, length=20, seed=5, transport="socket")
+        assert time.monotonic() - t0 < 5.0
 
     def test_unknown_transport_rejected(self):
         dataset = generate_synthetic(5, 32, noise=0.0, seed=0)
