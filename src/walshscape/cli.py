@@ -171,6 +171,8 @@ def cmd_cluster(args) -> None:
         "wcss_per_shard": list(result.wcss_per_shard),
         "rounds_used": result.rounds_used,
         "converged": result.converged,
+        "cycle_start": result.cycle_start,
+        "cycle_period": result.cycle_period,
         "feature_seconds": round(result.feature_seconds, 3),
         "kmeans_seconds": round(result.kmeans_seconds, 3),
     }
@@ -180,8 +182,12 @@ def cmd_cluster(args) -> None:
         "centroids.csv": _centroid_csv(result.centroids.centroids),
         "metrics.json": json.dumps(metrics, indent=2) + "\n",
     })
+    if result.cycle_period is None:
+        state = f"converged={result.converged}"
+    else:
+        state = f"oscillating with period {result.cycle_period} from round {result.cycle_start}"
     print(f"K={args.K} S={args.S} wcss={result.wcss:.6g} rounds={result.rounds_used} "
-          f"converged={result.converged} -> {args.out}")
+          f"{state} -> {args.out}")
 
 
 def cmd_elbow(args) -> None:
@@ -189,8 +195,9 @@ def cmd_elbow(args) -> None:
     points = elbow_sweep(
         dataset, _parse_k_list(args.K), s=args.S, length=args.L, seed=args.seed, max_rounds=args.I
     )
-    table = "K,wcss,feature_seconds,kmeans_seconds\n" + "".join(
-        f"{p.K},{p.wcss:.17g},{p.feature_seconds:.3f},{p.kmeans_seconds:.3f}\n" for p in points
+    table = "K,wcss,feature_seconds,kmeans_seconds,rounds_used,converged,cycle_period\n" + "".join(
+        f"{p.K},{p.wcss:.17g},{p.feature_seconds:.3f},{p.kmeans_seconds:.3f},"
+        f"{p.rounds_used},{p.converged},{p.cycle_period or ''}\n" for p in points
     )
     long_rows = ["K,metric,value"]
     for p in points:
@@ -198,6 +205,9 @@ def cmd_elbow(args) -> None:
             f"{p.K},wcss,{p.wcss:.17g}",
             f"{p.K},feature_seconds,{p.feature_seconds:.3f}",
             f"{p.K},kmeans_seconds,{p.kmeans_seconds:.3f}",
+            f"{p.K},rounds_used,{p.rounds_used}",
+            f"{p.K},converged,{p.converged}",
+            f"{p.K},cycle_period,{p.cycle_period or ''}",
         ]
     _write_outputs(args.out, {
         "elbow.csv": table,

@@ -6,7 +6,11 @@ later rounds from the consensus centroids broadcast by the coordinator)
 and reports its K centroids plus a labels-changed flag.  The coordinator
 clusters the S*K reported centroids into K consensus centroids and
 broadcasts them; the loop ends when every worker reports unchanged labels
-or after I rounds.  Final labels are the workers' last retained
+or after I rounds.  A run whose last two consensus sets repeat an earlier
+pair bit for bit is in a cycle that never converges: the loop records
+where the cycle started and its period, skips the whole periods left in
+the budget and runs only the rounds left over, so it returns exactly what
+running all I rounds would.  Final labels are the workers' last retained
 assignments, realigned to the dataset's ingestion order, and the total
 WCSS is the sum of the per-shard values.
 
@@ -65,7 +69,10 @@ class ClusterResult:
     labels are in 1..K and aligned to the dataset's ingestion order;
     wcss is the sum over shards; centroids is the last consensus set the
     coordinator computed; worker_centroids/wcss_per_shard keep each
-    worker's final state so the total is auditable.
+    worker's final state so the total is auditable.  A run that can never
+    converge because its consensus sets repeat reports the round where the
+    repeated pair of consecutive sets first appeared (cycle_start) and the
+    period; both are None otherwise.
     """
 
     labels: np.ndarray
@@ -77,6 +84,8 @@ class ClusterResult:
     wcss_per_shard: tuple[float, ...]
     feature_seconds: float
     kmeans_seconds: float
+    cycle_start: int | None
+    cycle_period: int | None
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,9 @@ class ElbowPoint:
     wcss: float
     feature_seconds: float
     kmeans_seconds: float
+    rounds_used: int
+    converged: bool
+    cycle_period: int | None
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -201,12 +213,23 @@ def coordinate_rounds(
     exchange(i, consensus) runs round i on every worker (consensus is None
     in round 1) and returns the reports in worker order; finish() ends the
     workers and returns their retained assignments in worker order.
+
+    From round 2 on, the last two consensus sets fix everything that
+    follows, so once their bytes repeat an earlier pair the loop skips the
+    whole periods left: round numbers jump ahead, results do not change.
+    Returns (assignments, worker centroids, consensus, rounds used,
+    converged, cycle start, cycle period); the last two are None unless
+    a repeat was found.
     """
     if max_rounds < 1:
         raise ValueError("I must be at least 1")
     master_seed = derive_seed(seed, 0)
     consensus: CentroidSet | None = None
-    for i in range(1, max_rounds + 1):
+    seen: dict[bytes, int] = {}  # raw bytes of (c_{i-1}, c_i) -> first round i
+    cycle_start = cycle_period = None
+    i = 0
+    while i < max_rounds:
+        i += 1
         messages = exchange(i, consensus)
         reports = [(m.worker_id, m.round) for m in messages]
         if reports != [(wid, i) for wid in range(1, len(matrices) + 1)]:
@@ -214,8 +237,15 @@ def coordinate_rounds(
         converged = all(m.flag == 0 for m in messages)
         if converged:
             break
+        previous = consensus
         consensus = master_consensus(messages, k, master_seed)
-    return finish(), tuple(m.centroids for m in messages), consensus, i, converged
+        if previous is not None and cycle_period is None:
+            j = seen.setdefault(previous.centroids.tobytes() + consensus.centroids.tobytes(), i)
+            if j < i:  # rounds j+1..i repeat forever without converging: skip whole periods
+                cycle_start, cycle_period = j, i - j
+                i += (max_rounds - i) // cycle_period * cycle_period
+    worker_centroids = tuple(m.centroids for m in messages)
+    return finish(), worker_centroids, consensus, i, converged, cycle_start, cycle_period
 
 
 def _run_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int):
@@ -262,9 +292,8 @@ def run_dcc(
         from .wire import run_socket_rounds as run_rounds
     else:
         raise ValueError(f"unknown transport {transport!r}")
-    assignments, worker_centroids, consensus, rounds_used, converged = run_rounds(
-        matrices, k, seed, max_rounds
-    )
+    (assignments, worker_centroids, consensus, rounds_used, converged,
+     cycle_start, cycle_period) = run_rounds(matrices, k, seed, max_rounds)
     kmeans_seconds = time.perf_counter() - t0
 
     labels_shard_order = np.concatenate([a.labels for a in assignments])
@@ -280,6 +309,8 @@ def run_dcc(
         wcss_per_shard=per_shard,
         feature_seconds=feature_seconds,
         kmeans_seconds=kmeans_seconds,
+        cycle_start=cycle_start,
+        cycle_period=cycle_period,
     )
 
 
@@ -299,7 +330,9 @@ def elbow_sweep(
     points = []
     for k in k_list:
         t0 = time.perf_counter()
-        assignments, _, _, _, _ = _run_rounds(matrices, k, seed, max_rounds)
+        assignments, _, _, rounds_used, converged, _, cycle_period = _run_rounds(
+            matrices, k, seed, max_rounds
+        )
         kmeans_seconds = time.perf_counter() - t0
         points.append(
             ElbowPoint(
@@ -307,6 +340,9 @@ def elbow_sweep(
                 wcss=wcss_total(a.wcss for a in assignments),
                 feature_seconds=feature_seconds,
                 kmeans_seconds=kmeans_seconds,
+                rounds_used=rounds_used,
+                converged=converged,
+                cycle_period=cycle_period,
             )
         )
     return points

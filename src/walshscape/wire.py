@@ -22,10 +22,11 @@ answers every ROUND broadcast with its own ROUND report until STOP, then
 sends RESULT; kmeans_iters is always `dcc.DEFAULT_KMEANS_ITERS`.  The
 coordinator runs `dcc.coordinate_rounds`, as the in-process transport
 does, and doubles travel bit-exactly, so both give identical results.  A
-frame of the wrong kind or length, a flag byte other than 0 or 1, a
-failed send or receive (naming the worker) and a worker process exiting
-before all have connected raise ProtocolError, which the CLI reports as
-exit 3.  A worker whose coordinator gave up exits 1 with one stderr line.
+frame of the wrong kind or length, a payload too long for the u32 length
+prefix, a flag byte other than 0 or 1, a failed send or receive (naming
+the worker) and a worker process exiting before all have connected raise
+ProtocolError, which the CLI reports as exit 3.  A worker whose
+coordinator gave up exits 1 with one stderr line.
 """
 
 from __future__ import annotations
@@ -54,9 +55,14 @@ _ROUND_HEAD = struct.Struct("<BIIII")  # kind, round, worker_id, K, L
 _RESULT_HEAD = struct.Struct("<BII")  # kind, worker_id, n
 
 _TIMEOUT = 120.0
+_MAX_PAYLOAD = 2**32 - 1  # the u32 length prefix
 
 
 def _send_frame(conn: socket.socket, payload: bytes) -> None:
+    if len(payload) > _MAX_PAYLOAD:
+        raise ProtocolError(
+            f"{len(payload)}-byte frame payload exceeds the u32 length limit of {_MAX_PAYLOAD} bytes"
+        )
     conn.sendall(struct.pack("<I", len(payload)) + payload)
 
 

@@ -64,11 +64,23 @@ class TestCluster:
         assert label_agreement(truth_labels(ds), labels) >= 0.95
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["converged"] is True
+        assert (metrics["cycle_start"], metrics["cycle_period"]) == (None, None)
         assert metrics["wcss"] == pytest.approx(sum(metrics["wcss_per_shard"]))
         centroids = np.loadtxt(out / "centroids.csv", delimiter=",")
         assert centroids.shape == (3, 100)
         order = (out / "order.csv").read_text().splitlines()[1:]
         assert sorted(int(line.split(",")[1]) for line in order) == list(range(ds.N))
+
+    def test_oscillating_run_says_so(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "cycle"
+        assert run_cli(
+            "cluster", "--input", str(data_csv), "--out", str(out),
+            "--K", "4", "--S", "2", "--seed", "2",
+        ) == 0
+        assert "rounds=100 oscillating with period 2 from round 3 ->" in capsys.readouterr().out
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (metrics["rounds_used"], metrics["converged"]) == (100, False)
+        assert (metrics["cycle_start"], metrics["cycle_period"]) == (3, 2)
 
     def test_byte_identical_label_files(self, data_csv, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
@@ -136,14 +148,19 @@ class TestElbow:
             "--K", "2-5", "--S", "2", "--seed", "3",
         ) == 0
         lines = (out / "elbow.csv").read_text().splitlines()
-        assert lines[0] == "K,wcss,feature_seconds,kmeans_seconds"
+        assert lines[0] == "K,wcss,feature_seconds,kmeans_seconds,rounds_used,converged,cycle_period"
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ks == [2, 3, 4, 5]
         fe = {line.split(",")[2] for line in lines[1:]}
         assert len(fe) == 1  # features computed once
+        assert lines[3].endswith(",100,False,2")  # K=4 oscillates for the whole budget
         long_lines = (out / "elbow_long.csv").read_text().splitlines()
         assert long_lines[0] == "K,metric,value"
-        assert len(long_lines) == 1 + 3 * 4
+        assert len(long_lines) == 1 + 6 * 4
+        k4 = lines[3].split(",")
+        assert long_lines[13:19] == [
+            f"4,{metric},{value}" for metric, value in zip(lines[0].split(",")[1:], k4[1:])
+        ]
 
     def test_comma_list_accepted(self, data_csv, tmp_path):
         out = tmp_path / "elbow2"

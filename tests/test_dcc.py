@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import walshscape.dcc as dcc_module
 import walshscape.features as features_module
+import walshscape.wire as wire_module
 from walshscape import (
     Assignment,
     CentroidSet,
@@ -282,3 +287,101 @@ class TestElbowSweep:
         dataset = generate_synthetic(5, 32, noise=0.0, seed=0)
         with pytest.raises(ValueError):
             elbow_sweep(dataset, [], s=1)
+
+
+def plain_run_rounds(matrices, k, seed, max_rounds):
+    """The in-process round loop without cycle skipping, kept as the oracle: every round runs."""
+    worker_seeds = [derive_seed(seed, wid) for wid in range(1, len(matrices) + 1)]
+    retained = [None] * len(matrices)
+    master_seed = derive_seed(seed, 0)
+    consensus = None
+    for i in range(1, max_rounds + 1):
+        messages = []
+        for wid, features in enumerate(matrices, start=1):
+            msg, retained[wid - 1] = worker_round(
+                features, consensus, k, worker_seeds[wid - 1], i,
+                worker_id=wid, prev=retained[wid - 1],
+            )
+            messages.append(msg)
+        converged = all(m.flag == 0 for m in messages)
+        if converged:
+            break
+        consensus = master_consensus(messages, k, master_seed)
+    return retained, tuple(m.centroids for m in messages), consensus, i, converged, None, None
+
+
+def assert_same_run(actual, expected):
+    assert np.array_equal(actual.labels, expected.labels)
+    assert actual.centroids.centroids.tobytes() == expected.centroids.centroids.tobytes()
+    assert [c.centroids.tobytes() for c in actual.worker_centroids] == [
+        c.centroids.tobytes() for c in expected.worker_centroids
+    ]
+    assert actual.wcss_per_shard == expected.wcss_per_shard
+    assert actual.wcss == expected.wcss
+    assert (actual.rounds_used, actual.converged) == (expected.rounds_used, expected.converged)
+
+
+class TestCycleSkip:
+    """Consensus cycles are skipped without changing a bit of the result."""
+
+    # noise keeps points distinct: with more clusters than distinct points every
+    # Lloyd call spends its whole 1000-pass budget, which only slows the test
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(4, 20), t=st.sampled_from([32, 64, 96]), noise=st.floats(0.02, 0.2),
+        data_seed=st.integers(0, 999), k=st.integers(1, 6), s=st.integers(1, 4),
+        seed=st.integers(0, 999),
+    )
+    @example(n=20, t=96, noise=0.05, data_seed=7, k=4, s=2, seed=3)  # period 2 from round 3
+    @example(n=15, t=96, noise=0.05, data_seed=3, k=5, s=2, seed=0)  # period 3 from round 4
+    @example(n=15, t=96, noise=0.05, data_seed=3, k=5, s=3, seed=5)  # period 5 from round 7
+    def test_every_budget_matches_the_plain_loop(self, n, t, noise, data_seed, k, s, seed):
+        dataset = generate_synthetic(n, t, noise, data_seed)
+        for budget in range(1, 41):
+            actual = run_dcc(dataset, k=k, s=s, length=20, seed=seed, max_rounds=budget)
+            with mock.patch.object(dcc_module, "_run_rounds", plain_run_rounds):
+                expected = run_dcc(dataset, k=k, s=s, length=20, seed=seed, max_rounds=budget)
+            assert_same_run(actual, expected)
+            if actual.cycle_period is not None:
+                assert not actual.converged
+                assert 2 <= actual.cycle_start
+                assert actual.cycle_start + actual.cycle_period <= budget
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_only_the_rounds_up_to_the_first_repeat_and_the_leftover_run(self, transport, monkeypatch):
+        dataset = generate_synthetic(40, 96, 0.05, 7)
+        executed = []
+        real = dcc_module.coordinate_rounds
+
+        def counting(matrices, k, seed, max_rounds, exchange, finish):
+            def counted_exchange(i, consensus):
+                executed.append(i)
+                return exchange(i, consensus)
+
+            return real(matrices, k, seed, max_rounds, counted_exchange, finish)
+
+        monkeypatch.setattr(dcc_module, "coordinate_rounds", counting)
+        monkeypatch.setattr(wire_module, "coordinate_rounds", counting)
+        result = run_dcc(dataset, k=5, s=3, length=20, seed=2, max_rounds=100, transport=transport)
+        start, period = result.cycle_start, result.cycle_period
+        assert (start, period) == (5, 6)
+        first_repeat = start + period
+        leftover = (100 - first_repeat) % period
+        assert executed == list(range(1, first_repeat + 1)) + list(range(101 - leftover, 101))
+        assert len(executed) <= first_repeat + period
+        assert (result.rounds_used, result.converged) == (100, False)
+
+    def test_converging_run_reports_no_cycle(self, dataset):
+        result = run_dcc(dataset, k=3, s=3, length=40, seed=1)
+        assert result.converged
+        assert (result.cycle_start, result.cycle_period) == (None, None)
+
+    def test_elbow_points_keep_the_round_state(self):
+        dataset = generate_synthetic(20, 96, 0.05, 7)
+        points = elbow_sweep(dataset, [3, 4], s=2, length=20, seed=3)
+        for p in points:
+            result = run_dcc(dataset, k=p.K, s=2, length=20, seed=3)
+            assert (p.rounds_used, p.converged, p.cycle_period) == (
+                result.rounds_used, result.converged, result.cycle_period
+            )
+        assert points[1].cycle_period is not None and not points[1].converged

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import walshscape.wire as wire
 from walshscape import CentroidSet, ProtocolError, RoundMessage, generate_synthetic, run_dcc
+from walshscape.cli import main
 from walshscape.wire import (
     pack_result,
     pack_round,
@@ -103,6 +104,52 @@ class TestMalformedFrames:
             unpack_round(payload)
 
 
+class OversizePayload:
+    """Claims a length without holding the bytes, so no 4 GiB is ever allocated."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __radd__(self, head):
+        return head, self
+
+
+class RecordingConnection:
+    def __init__(self):
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(data)
+
+
+class TestOversizeFrame:
+    def test_payload_over_the_u32_limit_is_a_protocol_fault(self):
+        conn = RecordingConnection()
+        with pytest.raises(ProtocolError, match="exceeds the u32 length limit"):
+            wire._send_frame(conn, OversizePayload(2**32))
+        assert conn.sent == []
+
+    def test_payload_at_the_u32_limit_is_sent(self):
+        conn = RecordingConnection()
+        payload = OversizePayload(2**32 - 1)
+        wire._send_frame(conn, payload)
+        assert conn.sent == [(b"\xff\xff\xff\xff", payload)]
+
+    def test_oversize_setup_exits_with_a_protocol_fault(self, monkeypatch, tmp_path, capsys):
+        data = tmp_path / "data.bin"
+        assert main(["synth", "--n", "4", "--T", "32", "--out", str(data), "--format", "binary"]) == 0
+        monkeypatch.setattr(wire, "pack_setup", lambda *args: OversizePayload(2**32))
+        out = tmp_path / "run"
+        code = main(["cluster", "--input", str(data), "--format", "binary", "--out", str(out),
+                     "--K", "2", "--S", "2", "--transport", "socket"])
+        assert code == 3
+        assert "protocol fault: worker 1: 4294967296-byte frame payload exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSocketTransport:
     def test_matches_in_process_results_exactly(self):
         dataset = generate_synthetic(25, 64, noise=0.05, seed=7)
@@ -116,6 +163,23 @@ class TestSocketTransport:
         assert inproc.wcss_per_shard == socketed.wcss_per_shard
         for a, b in zip(inproc.worker_centroids, socketed.worker_centroids):
             assert np.array_equal(a.centroids, b.centroids)
+
+    @pytest.mark.parametrize("budget", [7, 8, 100])
+    def test_cycling_run_matches_in_process_results_exactly(self, budget):
+        dataset = generate_synthetic(20, 96, noise=0.05, seed=7)  # K=4: period 2 from round 3
+        inproc, socketed = (
+            run_dcc(dataset, k=4, s=2, length=20, seed=3, max_rounds=budget, transport=transport)
+            for transport in ("inproc", "socket")
+        )
+        assert (inproc.cycle_start, inproc.cycle_period) == (3, 2)
+        assert (socketed.cycle_start, socketed.cycle_period) == (3, 2)
+        assert (socketed.rounds_used, socketed.converged) == (budget, False)
+        assert (inproc.rounds_used, inproc.converged) == (budget, False)
+        assert np.array_equal(inproc.labels, socketed.labels)
+        assert inproc.centroids.centroids.tobytes() == socketed.centroids.centroids.tobytes()
+        assert inproc.wcss_per_shard == socketed.wcss_per_shard
+        for a, b in zip(inproc.worker_centroids, socketed.worker_centroids):
+            assert a.centroids.tobytes() == b.centroids.tobytes()
 
     @needs_fork
     def test_dead_worker_is_named_promptly(self, monkeypatch, capfd):
