@@ -225,26 +225,58 @@ def _read_labels(path: str, dataset) -> np.ndarray:
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     if len(rows) != dataset.N:
         raise DatasetError(f"labels file has {len(rows)} rows, dataset has {dataset.N}")
-    for row, s in zip(rows, dataset.series):
+    labels = np.empty(dataset.N, dtype=np.int64)
+    for i, (row, s) in enumerate(zip(rows, dataset.series)):
+        where = f"labels file row {i + 1}"  # 1-based, after the header
+        if len(row) != 2:
+            raise DatasetError(f"{where} has {len(row)} fields, expected 2 (id,label)")
         if row[0] != s.id:
-            raise DatasetError(f"labels file id {row[0]!r} does not match dataset id {s.id!r}")
-    return np.array([int(r[1]) for r in rows], dtype=np.int64)
+            raise DatasetError(f"{where}: id {row[0]!r} does not match dataset id {s.id!r}")
+        try:
+            labels[i] = int(row[1])
+        except (ValueError, OverflowError):
+            raise DatasetError(f"{where}: label {row[1]!r} is not an integer") from None
+    return labels
 
 
 def _parse_names(text: str) -> dict[int, str]:
+    """--cluster-names as {cluster: name}: comma-separated `cluster=name` pairs."""
     names = {}
     for part in text.split(","):
-        if part.strip():
-            idx, name = part.split("=", 1)
-            names[int(idx)] = name
+        if not part.strip():
+            continue
+        idx, sep, name = part.partition("=")
+        try:
+            cluster = int(idx) if sep else 0
+        except ValueError:
+            cluster = 0
+        if cluster < 1:
+            raise UsageError(f"bad --cluster-names entry {part!r}: expected <cluster>=<name>, cluster from 1")
+        if not name or set(name) & {"/", "\0", os.sep, os.altsep}:
+            raise UsageError(f"bad --cluster-names entry {part!r}: a name is a non-empty file title without '/'")
+        if cluster in names:
+            raise UsageError(f"--cluster-names names cluster {cluster} twice")
+        names[cluster] = name
     return names
 
 
+def _cluster_titles(names: dict[int, str], k: int) -> dict[int, str]:
+    """Each cluster's file title: its name, or cluster<c>; titles must differ."""
+    owner: dict[str, int] = {}
+    for cluster in range(1, k + 1):
+        title = names.get(cluster, f"cluster{cluster}")
+        if title in owner:
+            raise UsageError(f"--cluster-names gives clusters {owner[title]} and {cluster} the same title {title!r}")
+        owner[title] = cluster
+    return {cluster: title for title, cluster in owner.items()}
+
+
 def cmd_summarize(args) -> None:
+    names = _parse_names(args.cluster_names)
     dataset = load_dataset(args.input, format=args.format)
     labels = _read_labels(args.labels, dataset)
     k = int(labels.max(initial=1))
-    names = _parse_names(args.cluster_names)
+    titles = _cluster_titles(names, k)
 
     files: dict[str, str | bytes] = {}
     for cluster, table in minute_proportions(dataset, labels, k).items():
@@ -253,15 +285,14 @@ def cmd_summarize(args) -> None:
             f"{minute}," + ",".join(f"{v:.17g}" for v in row) + "\n"
             for minute, row in enumerate(table)
         )
-        title = names.get(cluster, f"cluster{cluster}")
-        files[f"proportions_{title}.csv"] = header + "\n" + body
+        files[f"proportions_{titles[cluster]}.csv"] = header + "\n" + body
 
     for attribute in [a for a in args.attributes.split(",") if a.strip()]:
         comp = composition_table(dataset, labels, k, attribute)
         body = "cluster,cluster_name,value,weighted_count,share_within_value,share_within_cluster\n"
         for row in comp.rows:
             body += (
-                f"{row.cluster},{names.get(row.cluster, f'cluster{row.cluster}')},{row.value},"
+                f"{row.cluster},{titles[row.cluster]},{row.value},"
                 f"{row.weighted_count:.17g},{row.share_within_value:.17g},"
                 f"{row.share_within_cluster:.17g}\n"
             )

@@ -35,11 +35,10 @@ from .features import (
     local_ranges,
     reduce_global_range,
 )
-from .kmeans import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
+from .kmeans import DEFAULT_KMEANS_ITERS, Assignment, CentroidSet, init_uniform, lloyd, wcss_total
 from .series import Dataset, DatasetError, ShardPlan, make_shard_plan
 
 DEFAULT_MAX_ROUNDS = 100
-DEFAULT_KMEANS_ITERS = 1000
 
 
 class ProtocolError(RuntimeError):
@@ -146,21 +145,14 @@ def worker_round(
     return message, assignment
 
 
-def master_consensus(
-    messages: list[RoundMessage],
-    k: int,
-    seed: int,
-    shard_sizes: tuple[int, ...] | None = None,
-    max_iters: int = DEFAULT_KMEANS_ITERS,
-) -> CentroidSet:
+def master_consensus(messages: list[RoundMessage], k: int, seed: int) -> CentroidSet:
     """Cluster the S*K reported centroids into K consensus centroids.
 
-    The reported centroids are treated as points (unit weight by default;
-    pass shard_sizes to weight each worker's centroids by its shard size)
-    and clustered by the same K-means with a uniform-range initialization.
+    The reported centroids are treated as points, each counting once, and
+    clustered by the same K-means with a uniform-range initialization.
     The K results are ordered by the smallest input row assigned to each
-    cluster, so a coordinator fed an already-stable centroid set returns
-    it unchanged.
+    cluster, with clusters left empty last in index order, so a
+    coordinator fed an already-stable centroid set returns it unchanged.
 
     Raises ProtocolError if the worker reports are not exactly 1..S.
     """
@@ -172,21 +164,12 @@ def master_consensus(
         missing = set(range(1, s + 1)) - set(by_worker)
         raise ProtocolError(f"missing worker message(s): {sorted(missing)}")
     stacked = np.vstack([by_worker[wid].centroids.centroids for wid in range(1, s + 1)])
-    weights = None
-    if shard_sizes is not None:
-        if len(shard_sizes) != s:
-            raise ProtocolError("shard_sizes must have one entry per worker")
-        weights = np.repeat(np.asarray(shard_sizes, dtype=np.float64), k)
-    assignment, centroids = lloyd(
-        stacked, init_uniform(stacked, k, seed), max_iters=max_iters, sample_weight=weights
-    )
+    assignment, centroids = lloyd(stacked, init_uniform(stacked, k, seed))
     # canonical order: by first input row assigned to each cluster
+    present, first = np.unique(assignment.labels, return_index=True)
     first_row = np.full(k, len(stacked), dtype=np.int64)
-    for row, label in enumerate(assignment.labels):
-        if first_row[label - 1] == len(stacked):
-            first_row[label - 1] = row
-    order = np.lexsort((np.arange(k), first_row))
-    return CentroidSet(centroids=centroids.centroids[order])
+    first_row[present - 1] = first
+    return CentroidSet(centroids=centroids.centroids[np.argsort(first_row, kind="stable")])
 
 
 def _prepare_features(

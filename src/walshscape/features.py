@@ -103,8 +103,3 @@ def build_features(
     if mins.min() < global_range.D_min or maxs.max() > global_range.D_max:
         raise ValueError("series range outside the global range; recompute the reduction")
     return FeatureMatrix(rows=tent_rows(grid, mins, maxs))
-
-
-def save_feature_csv(matrix: FeatureMatrix, path) -> None:
-    """Dump landscape rows for audit; row order is the shard's series order."""
-    np.savetxt(path, matrix.rows, fmt="%.17g", delimiter=",")

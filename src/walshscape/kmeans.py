@@ -6,6 +6,10 @@ Everything is deterministic given the seed: initial centroid components
 are drawn independently from Uniform(columnwise min, columnwise max),
 distance ties resolve to the lowest cluster index, and empty clusters are
 reseeded to the point farthest from its current centroid.
+
+Every point counts once.  Each assignment pass works one cluster at a
+time: K distance columns of length n, then one mean per non-empty
+cluster, so no (n, K, L) temporary is built.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .features import FeatureMatrix
+
+DEFAULT_KMEANS_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,7 @@ def init_uniform(points, k: int, seed: int) -> CentroidSet:
 def lloyd(
     points,
     init: CentroidSet,
-    max_iters: int = 1000,
-    sample_weight: np.ndarray | None = None,
+    max_iters: int = DEFAULT_KMEANS_ITERS,
     on_iteration: Callable[[float], None] | None = None,
 ) -> tuple[Assignment, CentroidSet]:
     """Alternate nearest-centroid assignment and mean updates until labels stabilize.
@@ -88,9 +93,7 @@ def lloyd(
     Args:
         points: (n, L) matrix (or FeatureMatrix) of feature vectors.
         init: starting centroids; K and L are taken from it.
-        max_iters: assignment-pass budget (the internal default is 1000).
-        sample_weight: optional non-negative per-point weights for the
-            mean updates and the reported WCSS.
+        max_iters: assignment-pass budget.
         on_iteration: optional callback receiving the WCSS of every
             assignment pass (the sequence is non-increasing).
 
@@ -101,29 +104,23 @@ def lloyd(
         update is reseeded to the point with maximum distance to its
         current centroid (distinct points when several clusters empty at
         once, lowest cluster index repaired first).
+
+    A cluster's mean adds its rows in row order.  At L = 1 numpy sums the
+    one contiguous column pairwise instead, so centroids may differ from
+    a row-order sum in the last bits; feature rows always have L >= 2.
     """
     x = _as_points(points)
     c = np.array(init.centroids, dtype=np.float64, copy=True)
-    k = len(c)
-    n = len(x)
     if x.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: points have {x.shape[1]}, centroids {c.shape[1]}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    w = None
-    if sample_weight is not None:
-        w = np.asarray(sample_weight, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("sample_weight must have one entry per point")
 
     labels_prev: np.ndarray | None = None
-    labels = np.zeros(n, dtype=np.int64)
-    wcss = 0.0
     for it in range(max_iters):
-        d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.stack([((x - cj) ** 2).sum(axis=1) for cj in c], axis=1)
         labels = d2.argmin(axis=1)
-        nearest = d2[np.arange(n), labels]
-        wcss = float(nearest.sum() if w is None else (nearest * w).sum())
+        wcss = float(d2.min(axis=1).sum())
         if on_iteration is not None:
             on_iteration(wcss)
         if labels_prev is not None and np.array_equal(labels, labels_prev):
@@ -132,17 +129,18 @@ def lloyd(
         if it == max_iters - 1:
             break  # budget spent; keep centroids consistent with this assignment
 
-        sums = np.zeros_like(c)
-        np.add.at(sums, labels, x if w is None else x * w[:, None])
-        counts = np.bincount(labels, weights=w, minlength=k).astype(np.float64)
-        filled = counts > 0
-        c[filled] = sums[filled] / counts[filled, None]
-
-        if not filled.all():
+        empty = []
+        for j in range(len(c)):
+            members = labels == j
+            if members.any():
+                c[j] = x[members].mean(axis=0)
+            else:
+                empty.append(j)
+        if empty:
             dist_to_own = ((x - c[labels]) ** 2).sum(axis=1)
-            for empty in np.flatnonzero(~filled):
+            for j in empty:
                 far = int(dist_to_own.argmax())
-                c[empty] = x[far]
+                c[j] = x[far]
                 dist_to_own[far] = -np.inf  # one reseed per point
 
     return Assignment(labels=labels + 1, wcss=wcss), CentroidSet(centroids=c)

@@ -270,6 +270,41 @@ class TestExitCodes:
             "cluster", "--input", str(bad), "--out", str(tmp_path / "o"), "--K", "2",
         ) == 2
 
+    @staticmethod
+    def _labels_lines(data_csv):
+        ids = [s.id for s in load_dataset(data_csv).series]
+        return ["id,label"] + [f"{ident},{1 + i % 2}" for i, ident in enumerate(ids)]
+
+    def test_malformed_labels_file_is_data_error(self, data_csv, tmp_path, capsys):
+        lines = self._labels_lines(data_csv)
+        ident = lines[3].split(",")[0]
+        for bad_row, message in (
+            (ident, "labels file row 3 has 1 fields"),
+            (f"{ident},2,extra", "labels file row 3 has 3 fields"),
+            (f"{ident},two", "labels file row 3: label 'two' is not an integer"),
+        ):
+            path = tmp_path / "labels.csv"
+            path.write_text("\n".join(lines[:3] + [bad_row] + lines[4:]) + "\n")
+            out = tmp_path / "o"
+            assert run_cli(
+                "summarize", "--input", str(data_csv), "--labels", str(path), "--out", str(out),
+            ) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("names", ["home", "x=home", "0=home", "1=a/b", "1=", "1=x,1=y",
+                                       "1=x,2=x", "1=cluster2"])
+    def test_bad_cluster_names_are_usage_errors(self, data_csv, tmp_path, names, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(self._labels_lines(data_csv)) + "\n")
+        out = tmp_path / "o"
+        assert run_cli(
+            "summarize", "--input", str(data_csv), "--labels", str(labels),
+            "--cluster-names", names, "--out", str(out),
+        ) == 1
+        assert "--cluster-names" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_override_supplies_default_seed(self, data_csv, tmp_path, monkeypatch):
         outs = []
         for name, env in (("e1", "5"), ("e2", "5"), ("e3", "6")):

@@ -156,12 +156,40 @@ class TestMasterConsensus:
         with pytest.raises(ProtocolError, match="missing worker"):
             master_consensus(messages, 1, seed=0)
 
-    def test_shard_size_weighting_shifts_means(self):
-        messages = [self._message(1, [[0.0]]), self._message(2, [[1.0]])]
-        unweighted = master_consensus(messages, 1, seed=0)
-        weighted = master_consensus(messages, 1, seed=0, shard_sizes=(3, 1))
-        assert unweighted.centroids[0, 0] == pytest.approx(0.5)
-        assert weighted.centroids[0, 0] == pytest.approx(0.25)
+    @staticmethod
+    def _oracle(messages, k, seed):
+        """The first-row loop and lexsort that ordered consensus clusters
+        before `np.unique`; kept as the reference."""
+        stacked = np.vstack([m.centroids.centroids for m in sorted(messages, key=lambda m: m.worker_id)])
+        assignment, centroids = lloyd(stacked, init_uniform(stacked, k, seed))
+        first_row = np.full(k, len(stacked), dtype=np.int64)
+        for row, label in enumerate(assignment.labels):
+            if first_row[label - 1] == len(stacked):
+                first_row[label - 1] = row
+        order = np.lexsort((np.arange(k), first_row))
+        return centroids.centroids[order]
+
+    def test_empty_consensus_clusters_go_last_in_index_order(self):
+        rows = np.array([[1.0, 2.0], [0.0, 3.0]])[[0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1]]
+        messages = [self._message(wid, rows[4 * (wid - 1) : 4 * wid]) for wid in (1, 2, 3)]
+        assignment, centroids = lloyd(rows, init_uniform(rows, 4, 5))
+        assert sorted(set(assignment.labels)) == [1, 3]  # clusters 2 and 4 end empty
+        consensus = master_consensus(messages, 4, seed=5)
+        assert np.array_equal(consensus.centroids, centroids.centroids[[0, 2, 1, 3]])
+        assert consensus.centroids.tobytes() == self._oracle(messages, 4, 5).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 6), st.integers(2, 5), st.integers(1, 3),
+        st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    )
+    def test_order_equals_the_oracle(self, s, k, length, distinct, data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        rows = rng.integers(0, 4, size=(distinct, length)).astype(np.float64)
+        rows = rows[rng.integers(0, distinct, size=s * k)]  # few distinct rows: clusters empty
+        messages = [self._message(wid, rows[k * (wid - 1) : k * wid]) for wid in range(1, s + 1)]
+        consensus = master_consensus(messages, k, seed)
+        assert consensus.centroids.tobytes() == self._oracle(messages, k, seed).tobytes()
 
 
 class TestRunDcc:

@@ -20,7 +20,6 @@ from walshscape import (
     zero_pad,
 )
 from walshscape.dcc import _prepare_features
-from walshscape.features import save_feature_csv
 
 from conftest import toy_dataset
 
@@ -145,13 +144,6 @@ class TestBuildFeatures:
         assert global_range.D_min < lo <= hi < global_range.D_max
         extended = build_features(local_ranges(ds.series + [quiet]), global_range, 40)
         assert np.array_equal(extended.rows[:6], base.rows)
-
-    def test_feature_dump_reads_back(self, tmp_path, rng):
-        ds = toy_dataset(rng.integers(0, 3, size=(4, 16)).tolist(), J=3)
-        fm = build_features(local_ranges(ds.series), GlobalRange(-10.0, 10.0), 12)
-        path = tmp_path / "features.csv"
-        save_feature_csv(fm, path)
-        assert np.allclose(np.loadtxt(path, delimiter=","), fm.rows, atol=0, rtol=0)
 
 
 level_matrices = st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(2, 5)).flatmap(

@@ -1,7 +1,82 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshscape import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
+
+
+def oracle_lloyd(points, init, max_iters=1000, on_iteration=None):
+    """`lloyd` before the per-cluster pass, unweighted: the (n, K, L) distance
+    temporary and `np.add.at` centroid sums.  Kept as the reference."""
+    x = np.asarray(points, dtype=np.float64)
+    c = np.array(init.centroids, dtype=np.float64, copy=True)
+    k = len(c)
+    n = len(x)
+    labels_prev = None
+    labels = np.zeros(n, dtype=np.int64)
+    wcss = 0.0
+    for it in range(max_iters):
+        d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        wcss = float(d2[np.arange(n), labels].sum())
+        if on_iteration is not None:
+            on_iteration(wcss)
+        if labels_prev is not None and np.array_equal(labels, labels_prev):
+            break
+        labels_prev = labels
+        if it == max_iters - 1:
+            break
+
+        sums = np.zeros_like(c)
+        np.add.at(sums, labels, x)
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        filled = counts > 0
+        c[filled] = sums[filled] / counts[filled, None]
+
+        if not filled.all():
+            dist_to_own = ((x - c[labels]) ** 2).sum(axis=1)
+            for empty in np.flatnonzero(~filled):
+                far = int(dist_to_own.argmax())
+                c[empty] = x[far]
+                dist_to_own[far] = -np.inf
+
+    return Assignment(labels=labels + 1, wcss=wcss), CentroidSet(centroids=c)
+
+
+def run_traced(kernel, points, init, max_iters):
+    history = []
+    assignment, centroids = kernel(points, init, max_iters, on_iteration=history.append)
+    return assignment.labels.tolist(), assignment.wcss, centroids.centroids.tobytes(), history
+
+
+@st.composite
+def lloyd_cases(draw):
+    """Points of four kinds, a start and a pass budget.
+
+    normal: generic floats; grid: small integers, so distances tie;
+    clipped: normals cut at zero, like landscape rows; repeated: a few
+    distinct rows many times over, so clusters empty and get reseeded.
+    """
+    n = draw(st.integers(1, 80))
+    length = draw(st.one_of(st.integers(2, 12), st.just(100)))
+    k = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["normal", "grid", "clipped", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        x = rng.normal(size=(n, length))
+    elif kind == "grid":
+        x = rng.integers(-2, 3, size=(n, length)).astype(np.float64)
+    elif kind == "clipped":
+        x = np.maximum(rng.normal(size=(n, length)), 0.0)
+    else:
+        distinct = draw(st.integers(1, 3))
+        x = rng.normal(size=(distinct, length))[rng.integers(0, distinct, size=n)]
+    if draw(st.booleans()):
+        init = init_uniform(x, k, seed=draw(st.integers(0, 2**32 - 1)))
+    else:
+        init = CentroidSet(centroids=x[rng.integers(0, n, size=k)])  # starts on points: ties
+    return x, init, draw(st.integers(1, 60))
 
 
 class TestInitUniform:
@@ -109,12 +184,6 @@ class TestLloyd:
         recomputed = ((points - centroids.centroids[assignment.labels - 1]) ** 2).sum()
         assert assignment.wcss == pytest.approx(recomputed, rel=1e-12)
 
-    def test_weighted_means(self):
-        points = np.array([[0.0], [3.0]])
-        init = CentroidSet(centroids=np.array([[1.0]]))
-        _, centroids = lloyd(points, init, sample_weight=np.array([3.0, 1.0]))
-        assert centroids.centroids[0, 0] == pytest.approx(0.75)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             lloyd(np.zeros((4, 3)), CentroidSet(centroids=np.zeros((2, 2))))
@@ -123,6 +192,28 @@ class TestLloyd:
         points = rng.normal(size=(30, 2))
         assignment, _ = lloyd(points, init_uniform(points, 3, seed=6))
         assert assignment.labels.min() >= 1 and assignment.labels.max() <= 3
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(lloyd_cases())
+    def test_equals_the_oracle_bit_for_bit(self, case):
+        x, init, max_iters = case
+        assert run_traced(lloyd, x, init, max_iters) == run_traced(oracle_lloyd, x, init, max_iters)
+
+    def test_one_column_means_may_differ_in_the_last_bits(self):
+        # At L = 1 a cluster's rows form one contiguous column, which numpy
+        # sums pairwise; the oracle adds them in row order.  Feature rows
+        # never have L = 1 (a landscape grid has at least 2 points).
+        x = np.array([0.6, 0.5, 0.3, 0.3, 0.1, 0.1, 0.1, 0.2, 0.8, 0.6, 0.9])[:, None]
+        init = CentroidSet(centroids=np.array([[0.0]]))
+        new_assignment, new = lloyd(x, init)
+        old_assignment, old = oracle_lloyd(x, init)
+        assert np.array_equal(new_assignment.labels, old_assignment.labels)
+        assert new.centroids[0, 0] == x.mean()
+        assert old.centroids[0, 0] == sum(x[:, 0]) / len(x)
+        assert new.centroids[0, 0] != old.centroids[0, 0]
+        assert new.centroids[0, 0] == pytest.approx(old.centroids[0, 0], rel=1e-15)
 
 
 class TestWcssTotal:
