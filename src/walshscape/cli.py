@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -260,15 +261,32 @@ def _parse_names(text: str) -> dict[int, str]:
     return names
 
 
-def _cluster_titles(names: dict[int, str], k: int) -> dict[int, str]:
-    """Each cluster's file title: its name, or cluster<c>; titles must differ."""
-    owner: dict[str, int] = {}
-    for cluster in range(1, k + 1):
-        title = names.get(cluster, f"cluster{cluster}")
-        if title in owner:
-            raise UsageError(f"--cluster-names gives clusters {owner[title]} and {cluster} the same title {title!r}")
-        owner[title] = cluster
-    return {cluster: title for title, cluster in owner.items()}
+def _title(names: dict[int, str], cluster: int) -> str:
+    """A cluster's file title: its --cluster-names name, or cluster<c>."""
+    return names.get(cluster, f"cluster{cluster}")
+
+
+def _check_titles(names: dict[int, str], k: int) -> None:
+    """Raise UsageError if two of clusters 1..k, empty or not, share a title.
+
+    Only named clusters can clash: with each other, or with the unnamed
+    cluster m whose default title cluster<m> one of them takes.  The clash
+    reported is the first that a walk over 1..k would meet, without the walk.
+    """
+    holders: dict[str, list[int]] = {}
+    for cluster, name in names.items():
+        if cluster <= k:
+            holders.setdefault(name, []).append(cluster)
+    for name, clusters in holders.items():
+        default = re.fullmatch(r"cluster([1-9][0-9]*)", name)
+        if default and len(default[1]) <= len(str(k)):  # no int() of a long digit string
+            m = int(default[1])
+            if m <= k and m not in names:
+                clusters.append(m)
+    clashes = [(sorted(clusters)[:2], name) for name, clusters in holders.items() if len(clusters) > 1]
+    if clashes:
+        (first, second), name = min(clashes, key=lambda clash: clash[0][1])
+        raise UsageError(f"--cluster-names gives clusters {first} and {second} the same title {name!r}")
 
 
 def cmd_summarize(args) -> None:
@@ -276,7 +294,7 @@ def cmd_summarize(args) -> None:
     dataset = load_dataset(args.input, format=args.format)
     labels = _read_labels(args.labels, dataset)
     k = int(labels.max(initial=1))
-    titles = _cluster_titles(names, k)
+    _check_titles(names, k)
 
     files: dict[str, str | bytes] = {}
     for cluster, table in minute_proportions(dataset, labels, k).items():
@@ -285,14 +303,14 @@ def cmd_summarize(args) -> None:
             f"{minute}," + ",".join(f"{v:.17g}" for v in row) + "\n"
             for minute, row in enumerate(table)
         )
-        files[f"proportions_{titles[cluster]}.csv"] = header + "\n" + body
+        files[f"proportions_{_title(names, cluster)}.csv"] = header + "\n" + body
 
     for attribute in [a for a in args.attributes.split(",") if a.strip()]:
         comp = composition_table(dataset, labels, k, attribute)
         body = "cluster,cluster_name,value,weighted_count,share_within_value,share_within_cluster\n"
         for row in comp.rows:
             body += (
-                f"{row.cluster},{titles[row.cluster]},{row.value},"
+                f"{row.cluster},{_title(names, row.cluster)},{row.value},"
                 f"{row.weighted_count:.17g},{row.share_within_value:.17g},"
                 f"{row.share_within_cluster:.17g}\n"
             )

@@ -9,7 +9,9 @@ grids and the rows would not be comparable.
 
 A landscape depends only on the min and max of the series' transform, so
 each series is transformed once: `build_features` turns the (mins, maxs)
-arrays of `local_ranges` into rows with `tda.tent_rows`.
+arrays of `local_ranges` into rows with `tda.tent_rows`.  The levels go
+to `fast_wft_batch` as int64 chunks of at most _CHUNK_ROWS series, which
+it transforms exactly with two matrix products (see `wft`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .tda import landscape_grid, tent_rows
 from .wft import fast_wft_batch, next_pow2
 
 DEFAULT_LANDSCAPE_LENGTH = 100
+_CHUNK_ROWS = 64  # series per transform call in local_ranges
 
 
 @dataclass(frozen=True)
@@ -57,21 +60,26 @@ class FeatureMatrix:
         return len(self.rows)
 
 
-def _padded_matrix(shard: Sequence[CategoricalSeries]) -> np.ndarray:
-    t = len(shard[0].values)
-    t2 = next_pow2(t)
-    out = np.zeros((len(shard), t2), dtype=np.float64)
-    for i, s in enumerate(shard):
-        out[i, :t] = s.values
-    return out
-
-
 def local_ranges(shard: Sequence[CategoricalSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """(mins, maxs) of every series' WFT coefficients, in shard order."""
+    """(mins, maxs) of every series' WFT coefficients, in shard order.
+
+    Levels are copied _CHUNK_ROWS series at a time into one reused int64
+    buffer whose zero padding is written once, so no (n, T2) float matrix
+    is built.
+    """
     if not len(shard):
         raise ValueError("shard must not be empty")
-    coeffs = fast_wft_batch(_padded_matrix(shard))
-    return coeffs.min(axis=1), coeffs.max(axis=1)
+    t = len(shard[0].values)
+    buf = np.zeros((min(len(shard), _CHUNK_ROWS), next_pow2(t)), dtype=np.int64)
+    mins, maxs = np.empty(len(shard)), np.empty(len(shard))
+    for start in range(0, len(shard), _CHUNK_ROWS):
+        chunk = shard[start : start + _CHUNK_ROWS]
+        for i, s in enumerate(chunk):
+            buf[i, :t] = s.values
+        coeffs = fast_wft_batch(buf[: len(chunk)])
+        coeffs.min(axis=1, out=mins[start : start + len(chunk)])
+        coeffs.max(axis=1, out=maxs[start : start + len(chunk)])
+    return mins, maxs
 
 
 def reduce_global_range(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> GlobalRange:

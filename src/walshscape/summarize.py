@@ -56,10 +56,10 @@ def minute_proportions(dataset: Dataset, labels, k: int) -> dict[int, np.ndarray
     values = dataset.values_matrix()
     weights = dataset.weights()
     out: dict[int, np.ndarray] = {}
-    for cluster in range(1, k + 1):
+    for cluster in sorted(set(labels.tolist())):  # the clusters present
         members = labels == cluster
         total = weights[members].sum()
-        if not members.any() or total == 0.0:
+        if total == 0.0:
             continue
         table = np.zeros((dataset.T, dataset.J), dtype=np.float64)
         block = values[members]

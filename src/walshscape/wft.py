@@ -21,6 +21,17 @@ the natural (Hadamard) ordered transform with bit-reversed sequency
 indexing, so we run the standard in-place butterfly and then apply the
 bit-reversal permutation.  The equivalence is validated against the
 iteration itself in the tests.
+
+Integer input (category levels) takes an exact path instead.  Sylvester's
+construction H_2n = H_2 (x) H_n gives H_T2 = H_p (x) H_q for p*q = T2, so
+a row x reshaped to a (p, q) matrix X transforms as H_p X H_q: two BLAS
+matrix products.  Every product and partial sum is then an integer of
+magnitude at most max|x| * T2, which float32 holds exactly below 2**24
+and float64 below 2**53.  So the natural-order coefficients are exact
+whatever order BLAS adds in, and equal the butterfly's bit for bit; the
+bit reversal and the division by sqrt(T2) that follow are shared.  A zero
+sum is +0.0 on both paths: the first entry of every Hadamard row and
+column is +1, so each sum holds a +0.0 or a nonzero term.
 """
 
 from __future__ import annotations
@@ -122,6 +133,29 @@ def _bit_reversal(n_bits: int) -> np.ndarray:
     return rev
 
 
+@lru_cache(maxsize=32)
+def _hadamard(n_bits: int, dtype) -> np.ndarray:
+    """Natural-order Hadamard matrix of order 2**n_bits, by Sylvester's construction."""
+    h2 = np.array([[1, 1], [1, -1]], dtype=dtype)
+    h = np.ones((1, 1), dtype=dtype)
+    for _ in range(n_bits):
+        h = np.kron(h2, h)
+    h.setflags(write=False)
+    return h
+
+
+def _exact_dtype(matrix: np.ndarray):
+    """float32 or float64 if it holds every partial sum of an integer
+    matrix's transform exactly, else None (also for non-integer input)."""
+    if not np.issubdtype(matrix.dtype, np.integer):
+        return None
+    # Python ints: np.abs of int64's minimum would overflow
+    bound = max(-int(matrix.min(initial=0)), int(matrix.max(initial=0))) * matrix.shape[-1]
+    if bound < 2**24:
+        return np.float32
+    return np.float64 if bound < 2**53 else None
+
+
 def _fwht_natural(values: np.ndarray) -> np.ndarray:
     """Unnormalized natural(Hadamard)-ordered transform along the last axis."""
     a = np.array(values, dtype=np.float64, copy=True)
@@ -172,14 +206,29 @@ def fast_wft(values, t_original: int | None = None) -> WftVector:
 
 
 def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise transform of an (n, T2) matrix; same math as `fast_wft`."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    """Row-wise transform of an (n, T2) matrix; same math as `fast_wft`.
+
+    An integer matrix whose bound max|x| * T2 is below 2**53 is
+    transformed exactly as H_p X H_q by two matrix products, in float32
+    when the bound is below 2**24 and in float64 otherwise (see the
+    module docstring).  Its result is bit-identical to that of the same
+    matrix as float64, which, like integer input above the bound, runs
+    the butterfly.
+    """
+    matrix = np.asarray(matrix)
     t2 = matrix.shape[-1]
     if not is_pow2(t2):
         raise ValueError(f"length {t2} is not a power of two")
     n_bits = t2.bit_length() - 1
-    transformed = _fwht_natural(matrix)
-    return transformed[..., _bit_reversal(n_bits)] / np.sqrt(t2)
+    dtype = _exact_dtype(matrix)
+    if dtype is None:
+        natural = _fwht_natural(matrix)
+    else:
+        p_bits = n_bits // 2
+        x = matrix.astype(dtype).reshape(-1, 1 << p_bits, t2 >> p_bits)
+        y = np.matmul(np.matmul(_hadamard(p_bits, dtype), x), _hadamard(n_bits - p_bits, dtype))
+        natural = y.reshape(matrix.shape)
+    return np.divide(natural[..., _bit_reversal(n_bits)], np.sqrt(t2), dtype=np.float64)
 
 
 def series_range(v: WftVector) -> SeriesRange:

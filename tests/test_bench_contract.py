@@ -10,13 +10,18 @@ these tests say so without a bench run.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from walshscape import load_dataset, series
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -61,3 +66,23 @@ def test_input_set_up_writes_the_ids_and_weights_it_assigns(tmp_path, monkeypatc
     assert [s.weight for s in written.series] == [s.weight for s in assigned.series]
     assert [s.id for s in written.series] != [s.id for s in plain.series]
     assert [s.weight for s in written.series] != [s.weight for s in plain.series]
+
+
+def test_traced_cluster_records_the_wft_layer(tmp_path):
+    # the tracer wraps `features.fast_wft_batch`; a range pass that calls
+    # the transform under another name leaves the wft layer empty
+    data = tmp_path / "data.bin"
+    series.save_dataset(series.generate_synthetic(25, 40, 0.05, 3), data, format="binary")
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "runner.py"), "--trace", str(trace), "job", "t", "cli",
+         "cluster", "--input", str(data), "--format", "binary", "--out", str(tmp_path / "out"),
+         "--K", "2", "--S", "2", "--I", "3"],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    spans = json.loads((trace / "spans-t-main.json").read_text())["spans"]
+    wft = [attrs for _, _, name, _, _, attrs in spans if name == "wft.fast_wft_batch"]
+    assert wft and sum(attrs["rows"] for attrs in wft) == 75

@@ -1,11 +1,14 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from walshscape import load_dataset
-from walshscape.cli import main
+from walshscape.cli import UsageError, _check_titles, main
 
 from conftest import label_agreement, truth_labels
 
@@ -219,6 +222,28 @@ class TestSummarize:
         assert code == 2
         assert not out.exists() or not list(out.iterdir())
 
+    def test_a_huge_label_costs_only_the_clusters_present(self, tmp_path):
+        data = tmp_path / "small.csv"
+        assert run_cli("synth", "--n", "4", "--T", "16", "--noise", "0.1", "--seed", "2",
+                       "--out", str(data)) == 0
+        ids = [s.id for s in load_dataset(data).series]
+        labels = [1 + i % 3 for i in range(len(ids) - 1)] + [10**9]
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\n" + "".join(f"{i},{l}\n" for i, l in zip(ids, labels)))
+        out = tmp_path / "summary"
+        started = time.perf_counter()
+        assert run_cli(
+            "summarize", "--input", str(data), "--labels", str(path), "--attributes", "truth",
+            "--cluster-names", "2=night", "--out", str(out),
+        ) == 0
+        assert time.perf_counter() - started < 5.0
+        assert sorted(p.name for p in out.glob("proportions_*.csv")) == [
+            "proportions_cluster1.csv", "proportions_cluster1000000000.csv",
+            "proportions_cluster3.csv", "proportions_night.csv",
+        ]
+        composition = (out / "composition_truth.csv").read_text()
+        assert "\n1000000000,cluster1000000000," in composition and "\n2,night," in composition
+
     def test_mismatched_labels_rejected(self, data_csv, tmp_path):
         bad = tmp_path / "bad_labels.csv"
         bad.write_text("id,label\nwrong-id,1\n")
@@ -305,6 +330,18 @@ class TestExitCodes:
         assert "--cluster-names" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_name_may_not_take_an_empty_clusters_title(self, data_csv, tmp_path, capsys):
+        ids = [s.id for s in load_dataset(data_csv).series]
+        labels = tmp_path / "labels.csv"  # clusters 1 and 3; cluster 2 is empty
+        labels.write_text("id,label\n" + "".join(f"{i},{3 if n == 0 else 1}\n" for n, i in enumerate(ids)))
+        out = tmp_path / "o"
+        assert run_cli(
+            "summarize", "--input", str(data_csv), "--labels", str(labels),
+            "--cluster-names", "1=cluster2", "--out", str(out),
+        ) == 1
+        assert "gives clusters 1 and 2 the same title 'cluster2'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_override_supplies_default_seed(self, data_csv, tmp_path, monkeypatch):
         outs = []
         for name, env in (("e1", "5"), ("e2", "5"), ("e3", "6")):
@@ -326,3 +363,38 @@ class TestExitCodes:
                 "--K", "3", "--S", "2", "--seed", "9",
             ) == 0
         assert (out1 / "labels.csv").read_bytes() == (out2 / "labels.csv").read_bytes()
+
+
+def _walk_titles(names, k):
+    """Oracle: title every cluster 1..k in turn and stop at the first repeat."""
+    owner = {}
+    for cluster in range(1, k + 1):
+        title = names.get(cluster, f"cluster{cluster}")
+        if title in owner:
+            return f"--cluster-names gives clusters {owner[title]} and {cluster} the same title {title!r}"
+        owner[title] = cluster
+    return None
+
+
+@given(
+    st.dictionaries(
+        st.integers(1, 12),
+        st.sampled_from(["a", "b", "cluster", "cluster0", "cluster02", "cluster٣"])
+        | st.integers(1, 14).map(lambda m: f"cluster{m}"),
+        max_size=8,
+    ),
+    st.integers(1, 12),
+)
+def test_title_check_reports_the_clash_a_walk_would_meet(names, k):
+    expected = _walk_titles(names, k)
+    if expected is None:
+        _check_titles(names, k)
+    else:
+        with pytest.raises(UsageError) as raised:
+            _check_titles(names, k)
+        assert str(raised.value) == expected
+
+
+def test_title_check_takes_a_long_digit_name_as_a_plain_name():
+    # int() refuses digit strings this long; no cluster <= K can own the title
+    _check_titles({1: "cluster" + "9" * 5000, 2: "night"}, 10**9)

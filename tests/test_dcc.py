@@ -64,6 +64,23 @@ class TestPrepareFeatures:
         assert len(rows_per_call) == 3
         assert sum(rows_per_call) == dataset.N
 
+    def test_shards_of_several_chunks_pass_every_row_once(self, monkeypatch):
+        big = generate_synthetic(200, 96, noise=0.05, seed=3)  # 200 series per shard at S=3
+        passed = []
+        real = features_module.fast_wft_batch
+
+        def recording(matrix):
+            passed.append(matrix.copy())  # local_ranges refills one buffer
+            return real(matrix)
+
+        monkeypatch.setattr(features_module, "fast_wft_batch", recording)
+        plan, _, _ = dcc_module._prepare_features(big, 3, 40, 1)
+        assert len(passed) > 3
+        assert sum(len(m) for m in passed) == big.N
+        padded = np.vstack(passed)
+        assert np.array_equal(padded[:, : big.T], big.values_matrix()[plan.order])
+        assert not padded[:, big.T :].any()
+
     def test_identical_walsh_ranges_leave_nothing_to_cluster(self):
         zeros = toy_dataset([[0] * 16] * 6, J=3)
         with pytest.raises(DatasetError, match="same Walsh range"):

@@ -46,6 +46,13 @@ class TestLocalRanges:
         assert np.array_equal(mins, [r.d_min for r in expected])
         assert np.array_equal(maxs, [r.d_max for r in expected])
 
+    def test_shard_of_several_chunks_matches_the_per_series_oracle(self, rng):
+        ds = toy_dataset(rng.integers(0, 4, size=(200, 50)).tolist(), J=4)
+        oracle = [series_range(fast_wft(zero_pad(s.values))) for s in ds.series]
+        mins, maxs = local_ranges(ds.series)
+        assert mins.tobytes() == np.array([r.d_min for r in oracle]).tobytes()
+        assert maxs.tobytes() == np.array([r.d_max for r in oracle]).tobytes()
+
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             local_ranges([])
@@ -81,6 +88,13 @@ class TestReduceGlobalRange:
 
 
 class TestBuildFeatures:
+    def test_rows_start_on_a_64_byte_boundary(self, rng):
+        ds = toy_dataset(rng.integers(0, 3, size=(17, 24)).tolist(), J=3)
+        for length in (2, 3, 40, 100):
+            ranges = local_ranges(ds.series)
+            features = build_features(ranges, reduce_global_range([ranges]), length)
+            assert features.rows.ctypes.data % 64 == 0
+
     def test_extremal_series_gets_the_full_tent(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(10, 32)).tolist(), J=3)
         ranges = local_ranges(ds.series)

@@ -38,6 +38,13 @@ class TestMinuteProportions:
         tables = minute_proportions(ds, [2], k=3)
         assert sorted(tables) == [2]
 
+    def test_cost_follows_the_clusters_present(self):
+        ds = toy_dataset([[0, 1], [2, 2], [1, 0]], weights=[1.0, 0.0, 2.0], J=3)
+        tables = minute_proportions(ds, [10**9, 5, 1], k=10**9)  # a walk over 1..K would take hours
+        assert list(tables) == [1, 10**9]  # ascending; cluster 5 has zero weight
+        assert all(type(cluster) is int for cluster in tables)
+        assert np.array_equal(tables[10**9], [[1, 0, 0], [0, 1, 0]])
+
     def test_label_length_mismatch_rejected(self):
         ds = toy_dataset([[0, 1]], J=3)
         with pytest.raises(ValueError, match="length"):

@@ -12,6 +12,7 @@ from walshscape import (
     landscape_grid,
     sublevel_persistence,
 )
+from walshscape.tda import tent_rows
 
 
 def slow_sublevel_diagram(f):
@@ -168,6 +169,18 @@ class TestLandscapeClosedForm:
             SeriesRange(2 * f.min(), 2 * f.max()), 2 * lo, 2 * hi, 33
         )
         assert np.array_equal(doubled.samples, 2 * base.samples)
+
+
+class TestTentRows:
+    def test_aligned_rows_hold_the_plain_formula_bit_for_bit(self, rng):
+        for n, length in ((1, 2), (7, 3), (64, 100), (333, 41)):
+            mins = rng.normal(size=n) - 1.0
+            maxs = mins + rng.random(n) * 3.0
+            grid = landscape_grid(-4.0, 4.0, length)
+            rows = tent_rows(grid, mins, maxs)
+            plain = np.maximum(np.minimum(grid - mins[:, None], maxs[:, None] - grid), 0.0)
+            assert rows.ctypes.data % 64 == 0 and rows.flags.c_contiguous
+            assert rows.tobytes() == plain.tobytes()
 
 
 class TestLandscapeInvariants:

@@ -3,9 +3,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walshscape import wft as wft_module
 from walshscape import (
     SeriesRange,
     fast_wft,
@@ -145,6 +146,73 @@ class TestFastWft:
         assert best[16] / best[10] <= 2.5**6
         slope = np.polyfit(sizes, [math.log2(best[p]) for p in sizes], 1)[0]
         assert slope <= math.log2(2.5)
+
+
+def _max_level(t2: int, pick: int, rng) -> int:
+    """Largest |level| of a test matrix: picks 0-8 sit on both sides of the
+    bounds max|x| * T2 = 2**24 and 2**53; larger picks draw at random."""
+    edges = [1, 255] + [edge // t2 + d for edge in (2**24, 2**53) for d in (-1, 0, 1)] + [2**62]
+    return edges[pick] if pick < len(edges) else int(rng.integers(1, 2**63 - 1))
+
+
+class TestIntegerPath:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_bits=st.integers(0, 12),
+        pick=st.integers(0, 12),
+        rows=st.integers(1, 5),
+        signed=st.booleans(),
+        near_cap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_bits=0, pick=0, rows=1, signed=False, near_cap=False, seed=0)
+    @example(n_bits=0, pick=4, rows=2, signed=True, near_cap=False, seed=1)
+    @example(n_bits=1, pick=2, rows=3, signed=True, near_cap=True, seed=2)
+    @example(n_bits=1, pick=6, rows=1, signed=False, near_cap=True, seed=3)
+    @example(n_bits=11, pick=4, rows=2, signed=False, near_cap=True, seed=4)
+    @example(n_bits=11, pick=6, rows=2, signed=True, near_cap=True, seed=5)
+    def test_bit_identical_to_the_float64_butterfly(self, n_bits, pick, rows, signed, near_cap, seed):
+        t2 = 1 << n_bits
+        rng = np.random.default_rng(seed)
+        cap = _max_level(t2, pick, rng)
+        if near_cap:  # rows of one sign near the cap: large, mostly odd partial sums
+            m = rng.integers(max(cap - 3, 0), cap, size=(rows, t2), endpoint=True)
+            if signed:
+                m *= rng.choice([-1, 1], size=(rows, 1))
+        else:
+            m = rng.integers(-cap if signed else 0, cap, size=(rows, t2), endpoint=True)
+        m[rng.integers(rows), rng.integers(t2)] = -cap if signed else cap  # the bound is exactly cap * T2
+        assert fast_wft_batch(m).tobytes() == fast_wft_batch(m.astype(np.float64)).tobytes()
+
+    def test_small_levels_skip_the_butterfly(self, monkeypatch, rng):
+        monkeypatch.setattr(wft_module, "_fwht_natural", None)  # any butterfly call fails
+        for t2 in (1, 2, 64, 2048):
+            m = rng.integers(-3, 4, size=(5, t2))
+            out = fast_wft_batch(m)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, [naive_wft(row.astype(np.float64)) for row in m])
+
+    def test_narrow_integer_dtypes(self, rng):
+        m = rng.integers(0, 256, size=(4, 512))
+        expected = fast_wft_batch(m.astype(np.float64)).tobytes()
+        for dtype in (np.uint8, np.int16, np.int32, np.uint64):
+            assert fast_wft_batch(m.astype(dtype)).tobytes() == expected
+
+    def test_zero_sums_are_positive_zero(self):
+        m = np.array([[0] * 8, [1, -1] * 4, [2, 0, 0, 2, -2, 0, 0, -2]])
+        out = fast_wft_batch(m)
+        assert not np.signbit(out).any()
+        assert np.count_nonzero(out == 0.0) > 8
+
+    def test_int64_minimum_takes_the_butterfly(self, monkeypatch):
+        calls = []
+        real = wft_module._fwht_natural
+        monkeypatch.setattr(wft_module, "_fwht_natural", lambda v: calls.append(v.shape) or real(v))
+        row = np.array([[np.iinfo(np.int64).min, 0, 1, -1]])
+        out = fast_wft_batch(row)
+        assert calls == [(1, 4)]
+        # float64 butterfly: -2**63 absorbs the small levels, then / sqrt(4)
+        assert out.tobytes() == np.full((1, 4), -(2.0**62)).tobytes()
 
 
 class TestZeroPad:
