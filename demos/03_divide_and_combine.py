@@ -33,7 +33,7 @@ print(f"rounds used: {result.rounds_used}, converged: {result.converged}")
 print(f"total WCSS: {result.wcss:.2f} "
       f"(features {result.feature_seconds:.2f}s, K-means {result.kmeans_seconds:.2f}s)")
 
-truth = np.array([s.attributes["truth"] for s in dataset.series])
+truth = np.array(dataset.attributes["truth"])
 print("\ncluster sizes and planted composition:")
 for cluster in (1, 2, 3):
     members = truth[result.labels == cluster]

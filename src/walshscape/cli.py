@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 protocol fault.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -132,6 +134,13 @@ def _write_outputs(out_dir: str, files: dict[str, str | bytes]) -> None:
         raise
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV, quoting only fields that hold a comma, a quote or a newline."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _centroid_csv(matrix: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix) + "\n"
 
@@ -159,9 +168,7 @@ def cmd_cluster(args) -> None:
     )
     plan = make_shard_plan(dataset.N, args.S, args.seed)
 
-    labels_csv = "id,label\n" + "".join(
-        f"{s.id},{label}\n" for s, label in zip(dataset.series, result.labels)
-    )
+    labels_csv = _csv_text([("id", "label"), *zip(dataset.ids, result.labels.tolist())])
     order_csv = "position,original_index\n" + "".join(
         f"{pos},{orig}\n" for pos, orig in enumerate(plan.order)
     )
@@ -219,20 +226,20 @@ def cmd_elbow(args) -> None:
 
 
 def _read_labels(path: str, dataset) -> np.ndarray:
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != "id,label":
             raise DatasetError(f"bad labels file header {header!r}")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        rows = [row for row in csv.reader(fh) if row and (len(row) > 1 or row[0].strip())]
     if len(rows) != dataset.N:
         raise DatasetError(f"labels file has {len(rows)} rows, dataset has {dataset.N}")
     labels = np.empty(dataset.N, dtype=np.int64)
-    for i, (row, s) in enumerate(zip(rows, dataset.series)):
-        where = f"labels file row {i + 1}"  # 1-based, after the header
+    for i, (row, ident) in enumerate(zip(rows, dataset.ids)):
+        where = f"labels file row {i + 1}"  # 1-based, after the header, blank lines skipped
         if len(row) != 2:
             raise DatasetError(f"{where} has {len(row)} fields, expected 2 (id,label)")
-        if row[0] != s.id:
-            raise DatasetError(f"{where}: id {row[0]!r} does not match dataset id {s.id!r}")
+        if row[0] != ident:
+            raise DatasetError(f"{where}: id {row[0]!r} does not match dataset id {ident!r}")
         try:
             labels[i] = int(row[1])
         except (ValueError, OverflowError):
@@ -307,13 +314,13 @@ def cmd_summarize(args) -> None:
 
     for attribute in [a for a in args.attributes.split(",") if a.strip()]:
         comp = composition_table(dataset, labels, k, attribute)
-        body = "cluster,cluster_name,value,weighted_count,share_within_value,share_within_cluster\n"
-        for row in comp.rows:
-            body += (
-                f"{row.cluster},{_title(names, row.cluster)},{row.value},"
-                f"{row.weighted_count:.17g},{row.share_within_value:.17g},"
-                f"{row.share_within_cluster:.17g}\n"
-            )
+        body = _csv_text([
+            ("cluster", "cluster_name", "value", "weighted_count", "share_within_value",
+             "share_within_cluster"),
+            *((row.cluster, _title(names, row.cluster), row.value, f"{row.weighted_count:.17g}",
+               f"{row.share_within_value:.17g}", f"{row.share_within_cluster:.17g}")
+              for row in comp.rows),
+        ])
         files[f"composition_{attribute}.csv"] = body
 
     _write_outputs(args.out, files)

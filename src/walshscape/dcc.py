@@ -177,7 +177,7 @@ def _prepare_features(
 ) -> tuple[ShardPlan, list[FeatureMatrix], float]:
     t0 = time.perf_counter()
     plan = make_shard_plan(dataset.N, s, seed)
-    ranges = [local_ranges([dataset.series[i] for i in plan.shard_indices(si)]) for si in range(s)]
+    ranges = [local_ranges(dataset.levels[plan.shard_indices(si)]) for si in range(s)]
     global_range = reduce_global_range(ranges)  # all-shards barrier
     if global_range.D_min == global_range.D_max:
         raise DatasetError(

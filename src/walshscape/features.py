@@ -9,19 +9,19 @@ grids and the rows would not be comparable.
 
 A landscape depends only on the min and max of the series' transform, so
 each series is transformed once: `build_features` turns the (mins, maxs)
-arrays of `local_ranges` into rows with `tda.tent_rows`.  The levels go
-to `fast_wft_batch` as int64 chunks of at most _CHUNK_ROWS series, which
-it transforms exactly with two matrix products (see `wft`).
+arrays of `local_ranges` into rows with `tda.tent_rows`.  A shard's
+(n, T) level matrix goes to `fast_wft_batch` in zero-padded chunks of at
+most _CHUNK_ROWS series, which it transforms exactly with two matrix
+products (see `wft`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .series import CategoricalSeries
 from .tda import landscape_grid, tent_rows
 from .wft import fast_wft_batch, next_pow2
 
@@ -60,22 +60,23 @@ class FeatureMatrix:
         return len(self.rows)
 
 
-def local_ranges(shard: Sequence[CategoricalSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """(mins, maxs) of every series' WFT coefficients, in shard order.
+def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mins, maxs) of the WFT coefficients of every row of an (n, T) level
+    matrix, in row order.
 
-    Levels are copied _CHUNK_ROWS series at a time into one reused int64
-    buffer whose zero padding is written once, so no (n, T2) float matrix
+    Rows are copied _CHUNK_ROWS at a time into one reused buffer of the
+    levels' dtype whose zero padding is written once, so no (n, T2) matrix
     is built.
     """
-    if not len(shard):
-        raise ValueError("shard must not be empty")
-    t = len(shard[0].values)
-    buf = np.zeros((min(len(shard), _CHUNK_ROWS), next_pow2(t)), dtype=np.int64)
-    mins, maxs = np.empty(len(shard)), np.empty(len(shard))
-    for start in range(0, len(shard), _CHUNK_ROWS):
-        chunk = shard[start : start + _CHUNK_ROWS]
-        for i, s in enumerate(chunk):
-            buf[i, :t] = s.values
+    levels = np.asarray(levels)
+    if levels.ndim != 2 or not len(levels):
+        raise ValueError("shard must be a non-empty (n, T) level matrix")
+    n, t = levels.shape
+    buf = np.zeros((min(n, _CHUNK_ROWS), next_pow2(t)), dtype=levels.dtype)
+    mins, maxs = np.empty(n), np.empty(n)
+    for start in range(0, n, _CHUNK_ROWS):
+        chunk = levels[start : start + _CHUNK_ROWS]
+        buf[: len(chunk), :t] = chunk
         coeffs = fast_wft_batch(buf[: len(chunk)])
         coeffs.min(axis=1, out=mins[start : start + len(chunk)])
         coeffs.max(axis=1, out=maxs[start : start + len(chunk)])

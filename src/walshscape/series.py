@@ -2,8 +2,13 @@
 
 A dataset holds N series of identical length T, each taking integer levels
 in {0, ..., J-1}, with a non-negative survey weight and free-form string
-attributes per series.  Ingestion order is preserved and is the reference
-ordering for cluster labels.
+attributes per series.  It is stored as columns: an (N, T) level matrix in
+the smallest unsigned dtype that holds J-1 (uint8 for J <= 256), an (N,)
+float64 weight vector, N ids, and one list of N values per attribute, with
+None where a series lacks it.  Every producer (the loaders, the synthetic
+generator, `Dataset.from_series`) fills these columns directly, and the
+constructor validates them once.  Ingestion order is preserved and is the
+reference ordering for cluster labels.
 
 All randomness (sharding, synthesis) uses numpy's PCG64 generator seeded
 through SeedSequence, so results are reproducible across platforms and
@@ -12,6 +17,7 @@ runs for a fixed seed.
 
 from __future__ import annotations
 
+import array
 import csv
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +30,7 @@ class DatasetError(ValueError):
 
 
 _MAGIC = b"CTS1"
+_SYNTH_ROWS = 4096  # series per random draw in generate_synthetic
 
 ARCHETYPES = ("C1", "C2", "C3")
 
@@ -40,7 +47,8 @@ _TEMPLATE_SEGMENTS = {
 
 @dataclass
 class CategoricalSeries:
-    """One respondent's per-minute level sequence with weight and attributes."""
+    """One respondent's per-minute level sequence with weight and attributes
+    (an input adapter for `Dataset.from_series`)."""
 
     id: str
     values: np.ndarray
@@ -55,53 +63,110 @@ class CategoricalSeries:
             raise DatasetError(f"series {self.id!r}: negative weight {self.weight}")
 
 
-@dataclass
+class SeriesRow:
+    """View of one dataset row; setting `id` or `weight` writes into the columns."""
+
+    __slots__ = ("dataset", "row")
+
+    def __init__(self, dataset: "Dataset", row: int):
+        self.dataset, self.row = dataset, row
+
+    id = property(lambda self: self.dataset.ids[self.row],
+                  lambda self, value: self.dataset.ids.__setitem__(self.row, value))
+    weight = property(lambda self: float(self.dataset.weights[self.row]),
+                      lambda self, value: self.dataset.weights.__setitem__(self.row, value))
+    values = property(lambda self: self.dataset.levels[self.row])
+
+    @property
+    def attributes(self) -> dict[str, str]:
+        return {name: column[self.row] for name, column in self.dataset.attributes.items()
+                if column[self.row] is not None}
+
+
 class Dataset:
-    """Ordered collection of categorical series sharing T and J."""
+    """N categorical series sharing T and J, held as columns (see the module docstring).
 
-    series: list[CategoricalSeries]
-    T: int
-    J: int
+    J is inferred as max(level) + 1, at least 2, when None.  Attribute names
+    that no series carries are dropped.  Raises DatasetError naming the first
+    1-based row with a level outside [0, J), a negative or non-finite weight,
+    or a repeated id.
+    """
 
-    def __post_init__(self):
-        if self.J < 2:
+    def __init__(self, levels, weights, ids, attributes: dict, J: int | None = None):
+        levels = np.asarray(levels)
+        if levels.ndim != 2 or not np.issubdtype(levels.dtype, np.integer):
+            raise DatasetError("levels must be an integer (N, T) matrix")
+        n, t = levels.shape
+        if n == 0:
+            raise DatasetError("dataset contains no rows")
+        J = max(2, 1 + int(levels.max())) if J is None else int(J)
+        if J < 2:
             raise DatasetError("J must be at least 2")
+        if t == 0:
+            raise DatasetError("series length T must be positive")
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,) or len(ids) != n or any(len(c) != n for c in attributes.values()):
+            raise DatasetError(f"every column must hold one value per series ({n})")
+
+        faults = []  # (0-based row, message) of the first fault of each kind
+        out_of_range = levels.max(axis=1) >= J
+        if np.issubdtype(levels.dtype, np.signedinteger):
+            out_of_range |= levels.min(axis=1) < 0
+        if out_of_range.any():
+            faults.append((int(out_of_range.argmax()), "level out of range"))
+        bad_weight = ~(np.isfinite(weights) & (weights >= 0))
+        if bad_weight.any():
+            r = int(bad_weight.argmax())
+            faults.append((r, "negative weight" if np.isfinite(weights[r]) else "non-finite weight"))
         seen: set[str] = set()
-        for k, s in enumerate(self.series):
-            if len(s.values) != self.T:
-                raise DatasetError(
-                    f"inconsistent series length at row {k + 1}: "
-                    f"expected {self.T}, got {len(s.values)}"
-                )
-            if s.values.min(initial=0) < 0 or s.values.max(initial=0) >= self.J:
-                raise DatasetError(f"level out of range at row {k + 1}")
-            if s.id in seen:
-                raise DatasetError(f"duplicate series id {s.id!r} at row {k + 1}")
-            seen.add(s.id)
+        for r, ident in enumerate(ids):
+            if ident in seen:
+                faults.append((r, f"duplicate series id {ident!r}"))
+                break
+            seen.add(ident)
+        if faults:
+            r, message = min(faults)
+            raise DatasetError(f"{message} at row {r + 1}")
+
+        self.levels = levels.astype(np.min_scalar_type(J - 1), copy=False)
+        self.weights = weights
+        self.ids = list(ids)
+        self.attributes = {name: list(column) for name, column in attributes.items()
+                           if any(v is not None for v in column)}
+        self.J = J
 
     @property
     def N(self) -> int:
-        return len(self.series)
+        return self.levels.shape[0]
 
-    def __len__(self) -> int:
-        return len(self.series)
+    @property
+    def T(self) -> int:
+        return self.levels.shape[1]
 
-    def values_matrix(self) -> np.ndarray:
-        """(N, T) int64 matrix of levels in ingestion order."""
-        return np.stack([s.values for s in self.series]) if self.series else np.zeros((0, self.T), dtype=np.int64)
-
-    def weights(self) -> np.ndarray:
-        return np.array([s.weight for s in self.series], dtype=np.float64)
+    @property
+    def series(self) -> list[SeriesRow]:
+        """Row views in ingestion order."""
+        return [SeriesRow(self, r) for r in range(self.N)]
 
     @classmethod
     def from_series(cls, series: list[CategoricalSeries], J: int | None = None) -> "Dataset":
-        """Build a dataset, inferring T from the first series and J from the data if absent."""
+        """Build a dataset from series objects, inferring J from the data if absent."""
         if not series:
             raise DatasetError("dataset must contain at least one series")
         t = len(series[0].values)
-        if J is None:
-            J = max(2, 1 + max(int(s.values.max(initial=0)) for s in series))
-        return cls(series=series, T=t, J=int(J))
+        for k, s in enumerate(series):
+            if len(s.values) != t:
+                raise DatasetError(
+                    f"inconsistent series length at row {k + 1}: expected {t}, got {len(s.values)}"
+                )
+        names = {name for s in series for name in s.attributes}
+        return cls(
+            levels=np.stack([s.values for s in series]),
+            weights=[s.weight for s in series],
+            ids=[s.id for s in series],
+            attributes={name: [s.attributes.get(name) for s in series] for name in names},
+            J=J,
+        )
 
 
 @dataclass(frozen=True)
@@ -186,7 +251,9 @@ def generate_synthetic(n_per_archetype: int, t: int, noise: float, seed: int) ->
     Produces 3 * n_per_archetype series (all C1, then C2, then C3), each a
     copy of its archetype template with every minute independently flipped
     to a uniformly random other level with probability `noise`.  The
-    planted archetype is stored in attributes["truth"].
+    planted archetype is stored in attributes["truth"].  The random draws
+    are taken _SYNTH_ROWS series at a time, which leaves the stream, and so
+    the levels, as one draw per archetype would give them.
     """
     if n_per_archetype < 1:
         raise ValueError("n_per_archetype must be positive")
@@ -195,24 +262,21 @@ def generate_synthetic(n_per_archetype: int, t: int, noise: float, seed: int) ->
     if not 0.0 <= noise < 0.5:
         raise ValueError("noise must lie in [0, 0.5)")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    j = 3
-    series: list[CategoricalSeries] = []
-    for arch in ARCHETYPES:
-        template = archetype_template(arch, t)
-        block = np.tile(template, (n_per_archetype, 1))
-        flips = rng.random((n_per_archetype, t)) < noise
-        shifts = rng.integers(1, j, size=(n_per_archetype, t))
-        block = np.where(flips, (block + shifts) % j, block)
-        for i in range(n_per_archetype):
-            series.append(
-                CategoricalSeries(
-                    id=f"{arch.lower()}-{i:05d}",
-                    values=block[i],
-                    weight=1.0,
-                    attributes={"truth": arch},
-                )
-            )
-    return Dataset(series=series, T=t, J=j)
+    j, n = 3, n_per_archetype
+    chunks = [slice(start, min(start + _SYNTH_ROWS, n)) for start in range(0, n, _SYNTH_ROWS)]
+    levels = np.empty((len(ARCHETYPES) * n, t), dtype=np.uint8)
+    for a, arch in enumerate(ARCHETYPES):
+        block = levels[a * n : (a + 1) * n]
+        block[:] = archetype_template(arch, t)
+        flips = np.empty((n, t), dtype=bool)
+        for rows in chunks:  # every flip draw of the archetype precedes its shift draws
+            flips[rows] = rng.random((rows.stop - rows.start, t)) < noise
+        for rows in chunks:
+            shifts = rng.integers(1, j, size=(rows.stop - rows.start, t))
+            block[rows] = np.where(flips[rows], (block[rows] + shifts) % j, block[rows])
+    ids = [f"{arch.lower()}-{i:05d}" for arch in ARCHETYPES for i in range(n)]
+    truth = [arch for arch in ARCHETYPES for _ in range(n)]
+    return Dataset(levels, np.ones(len(levels)), ids, {"truth": truth}, J=j)
 
 
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
@@ -229,8 +293,8 @@ def load_dataset(path, format: str = "csv") -> Dataset:
     """Read a dataset written by `save_dataset`, validating every row.
 
     Raises DatasetError with the offending 1-based data row number on
-    malformed rows, out-of-range levels, inconsistent lengths, or negative
-    weights.
+    malformed rows, out-of-range levels, inconsistent lengths, and
+    negative or non-finite weights.
     """
     if format == "csv":
         return _load_csv(path)
@@ -240,17 +304,18 @@ def load_dataset(path, format: str = "csv") -> Dataset:
 
 
 def _save_csv(dataset: Dataset, path) -> None:
-    attr_names = sorted({k for s in dataset.series for k in s.attributes})
+    attr_names = sorted(dataset.attributes)
+    columns = [dataset.attributes[a] for a in attr_names]
     header = ["id", "w", "J"] + [f"attr:{a}" for a in attr_names] + [
         f"t{k}" for k in range(dataset.T)
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in dataset.series:
-            row = [s.id, repr(float(s.weight)), dataset.J]
-            row += [s.attributes.get(a, "") for a in attr_names]
-            row += [int(v) for v in s.values]
+        for r, (ident, weight) in enumerate(zip(dataset.ids, dataset.weights.tolist())):
+            row = [ident, repr(weight), dataset.J]
+            row += [column[r] or "" for column in columns]  # an empty cell: the series lacks it
+            row += dataset.levels[r].tolist()
             writer.writerow(row)
 
 
@@ -279,18 +344,18 @@ def _load_csv(path) -> Dataset:
             raise DatasetError("no level columns declared in header")
 
         declared_j: int | None = None
-        series: list[CategoricalSeries] = []
+        ids, weights = [], []
+        attributes: dict[str, list] = {name: [] for name in attr_cols.values()}
+        levels = array.array("q")  # int64, row after row
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DatasetError(
                     f"malformed row {rownum}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                weight = float(row[w_col]) if w_col is not None else 1.0
+                weights.append(float(row[w_col]) if w_col is not None else 1.0)
             except ValueError:
                 raise DatasetError(f"malformed row {rownum}: bad weight {row[w_col]!r}") from None
-            if weight < 0:
-                raise DatasetError(f"negative weight at row {rownum}")
             if j_col is not None:
                 try:
                     row_j = int(row[j_col])
@@ -301,40 +366,39 @@ def _load_csv(path) -> Dataset:
                 elif row_j != declared_j:
                     raise DatasetError(f"inconsistent J at row {rownum}")
             try:
-                values = np.array([int(row[k]) for k in level_cols], dtype=np.int64)
+                levels.fromlist([int(row[k]) for k in level_cols])
             except ValueError:
                 raise DatasetError(f"malformed row {rownum}: non-integer level") from None
-            if values.min() < 0 or (declared_j is not None and values.max() >= declared_j):
-                raise DatasetError(f"level out of range at row {rownum}")
-            attributes = {name: row[k] for k, name in attr_cols.items() if row[k] != ""}
-            series.append(
-                CategoricalSeries(id=row[0], values=values, weight=weight, attributes=attributes)
-            )
-        if not series:
-            raise DatasetError("dataset contains no rows")
-    return Dataset.from_series(series, J=declared_j)
+            ids.append(row[0])
+            for k, name in attr_cols.items():
+                attributes[name].append(row[k] or None)  # an empty cell: the series lacks it
+    matrix = np.frombuffer(levels, dtype=np.int64).reshape(len(ids), len(level_cols))
+    return Dataset(matrix, weights, ids, attributes, J=declared_j)
+
+
+def _write_text(fh, text: str) -> None:
+    data = text.encode("utf-8")
+    fh.write(struct.pack("<I", len(data)))
+    fh.write(data)
 
 
 def _save_binary(dataset: Dataset, path) -> None:
     if dataset.J > 256:
         raise DatasetError("binary format stores levels as single bytes (J <= 256)")
+    names = sorted(dataset.attributes)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", dataset.N, dataset.T, dataset.J))
-        for s in dataset.series:
-            ident = s.id.encode("utf-8")
-            fh.write(struct.pack("<I", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<d", float(s.weight)))
-            fh.write(struct.pack("<I", len(s.attributes)))
-            for key in sorted(s.attributes):
-                kb = key.encode("utf-8")
-                vb = s.attributes[key].encode("utf-8")
-                fh.write(struct.pack("<I", len(kb)))
-                fh.write(kb)
-                fh.write(struct.pack("<I", len(vb)))
-                fh.write(vb)
-            fh.write(s.values.astype(np.uint8).tobytes())
+        for r, (ident, weight) in enumerate(zip(dataset.ids, dataset.weights.tolist())):
+            _write_text(fh, ident)
+            fh.write(struct.pack("<d", weight))
+            carried = [(name, dataset.attributes[name][r]) for name in names
+                       if dataset.attributes[name][r] is not None]
+            fh.write(struct.pack("<I", len(carried)))
+            for name, value in carried:
+                _write_text(fh, name)
+                _write_text(fh, value)
+            fh.write(dataset.levels[r].tobytes())  # uint8, as J <= 256
 
 
 def _read_exact(fh, n: int, rownum: int) -> bytes:
@@ -344,33 +408,31 @@ def _read_exact(fh, n: int, rownum: int) -> bytes:
     return buf
 
 
+def _read_text(fh, rownum: int) -> str:
+    (size,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
+    try:
+        return _read_exact(fh, size, rownum).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"malformed row {rownum}: {exc}") from None
+
+
 def _load_binary(path) -> Dataset:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise DatasetError("not a binary dataset file (bad magic)")
         n, t, j = struct.unpack("<III", _read_exact(fh, 12, 0))
-        series: list[CategoricalSeries] = []
+        # sized by the rows actually read, never by the header's N * T
+        levels, ids, weights = bytearray(), [], []
+        cells: dict[str, dict[int, str]] = {}  # attribute -> {0-based row: value}
         for rownum in range(1, n + 1):
-            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
-            ident = _read_exact(fh, id_len, rownum).decode("utf-8")
-            (weight,) = struct.unpack("<d", _read_exact(fh, 8, rownum))
-            if weight < 0:
-                raise DatasetError(f"negative weight at row {rownum}")
+            ids.append(_read_text(fh, rownum))
+            weights.append(struct.unpack("<d", _read_exact(fh, 8, rownum))[0])
             (n_attrs,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
-            attributes = {}
             for _ in range(n_attrs):
-                (klen,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
-                key = _read_exact(fh, klen, rownum).decode("utf-8")
-                (vlen,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
-                attributes[key] = _read_exact(fh, vlen, rownum).decode("utf-8")
-            values = np.frombuffer(_read_exact(fh, t, rownum), dtype=np.uint8).astype(np.int64)
-            if values.max(initial=0) >= j:
-                raise DatasetError(f"level out of range at row {rownum}")
-            series.append(
-                CategoricalSeries(id=ident, values=values, weight=weight, attributes=attributes)
-            )
+                key = _read_text(fh, rownum)
+                cells.setdefault(key, {})[rownum - 1] = _read_text(fh, rownum)
+            levels += _read_exact(fh, t, rownum)
         if fh.read(1):
             raise DatasetError("trailing bytes after final series")
-    if not series:
-        raise DatasetError("dataset contains no rows")
-    return Dataset(series=series, T=t, J=j)
+    attributes = {key: [column.get(r) for r in range(n)] for key, column in cells.items()}
+    return Dataset(np.frombuffer(levels, dtype=np.uint8).reshape(n, t), weights, ids, attributes, J=j)

@@ -53,19 +53,17 @@ def minute_proportions(dataset: Dataset, labels, k: int) -> dict[int, np.ndarray
     labels = _check_labels(dataset, labels)
     if labels.max(initial=1) > k:
         raise ValueError("label exceeds K")
-    values = dataset.values_matrix()
-    weights = dataset.weights()
     out: dict[int, np.ndarray] = {}
     for cluster in sorted(set(labels.tolist())):  # the clusters present
         members = labels == cluster
-        total = weights[members].sum()
+        total = dataset.weights[members].sum()
         if total == 0.0:
             continue
-        table = np.zeros((dataset.T, dataset.J), dtype=np.float64)
-        block = values[members]
-        w = weights[members]
-        for level in range(dataset.J):
-            table[:, level] = (w[:, None] * (block == level)).sum(axis=0)
+        # bincount adds each minute's weights in row order, the summation
+        # order that the proportions files depend on bit for bit
+        minutes = np.ascontiguousarray(dataset.levels[members].T)
+        w = dataset.weights[members]
+        table = np.stack([np.bincount(column, weights=w, minlength=dataset.J) for column in minutes])
         out[cluster] = table / total
     return out
 
@@ -79,21 +77,19 @@ def composition_table(dataset: Dataset, labels, k: int, attribute: str) -> Compo
     labels = _check_labels(dataset, labels)
     if labels.max(initial=1) > k:
         raise ValueError("label exceeds K")
+    if attribute not in dataset.attributes:
+        raise ValueError(f"unknown attribute {attribute!r}: no series carries it")
     counts: dict[tuple[int, str], float] = {}
     value_totals: dict[str, float] = {}
     cluster_totals: dict[int, float] = {}
-    seen = False
-    for s, label in zip(dataset.series, labels):
-        if attribute not in s.attributes:
+    column = dataset.attributes[attribute]
+    for value, label, weight in zip(column, labels.tolist(), dataset.weights.tolist()):
+        if value is None:
             continue
-        seen = True
-        value = s.attributes[attribute]
-        key = (int(label), value)
-        counts[key] = counts.get(key, 0.0) + s.weight
-        value_totals[value] = value_totals.get(value, 0.0) + s.weight
-        cluster_totals[int(label)] = cluster_totals.get(int(label), 0.0) + s.weight
-    if not seen:
-        raise ValueError(f"unknown attribute {attribute!r}: no series carries it")
+        key = (label, value)
+        counts[key] = counts.get(key, 0.0) + weight
+        value_totals[value] = value_totals.get(value, 0.0) + weight
+        cluster_totals[label] = cluster_totals.get(label, 0.0) + weight
     rows = []
     for (cluster, value), count in sorted(counts.items()):
         rows.append(

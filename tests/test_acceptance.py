@@ -116,7 +116,7 @@ def test_c06_single_worker_protocol_degenerates_to_plain_lloyd():
     result = run_dcc(dataset, k=3, s=1, length=100, seed=3)
 
     plan = make_shard_plan(dataset.N, 1, seed=3)
-    shard = [dataset.series[i] for i in plan.shard_indices(0)]
+    shard = dataset.levels[plan.shard_indices(0)]
     ranges = local_ranges(shard)
     features = build_features(ranges, reduce_global_range([ranges]), 100)
     assignment, _ = lloyd(features, init_uniform(features, 3, derive_seed(3, 1)))
@@ -159,12 +159,7 @@ def test_c08_cluster_command_is_byte_deterministic(tmp_path):
 
 
 def test_c09_feature_extraction_speed_for_one_worker(rng):
-    from walshscape import CategoricalSeries
-
-    shard = [
-        CategoricalSeries(id=f"r{i}", values=rng.integers(0, 3, size=1440))
-        for i in range(2508)
-    ]
+    shard = rng.integers(0, 3, size=(2508, 1440))
     t0 = time.perf_counter()
     ranges = local_ranges(shard)
     global_range = reduce_global_range([ranges])
@@ -177,7 +172,7 @@ def test_c09_feature_extraction_speed_for_one_worker(rng):
 
 def test_c10_total_wcss_is_additive_over_shards(planted_dataset, planted_run):
     plan = make_shard_plan(planted_dataset.N, 4, seed=7)
-    shards = [[planted_dataset.series[i] for i in plan.shard_indices(s)] for s in range(4)]
+    shards = [planted_dataset.levels[plan.shard_indices(s)] for s in range(4)]
     ranges = [local_ranges(sh) for sh in shards]
     global_range = reduce_global_range(ranges)
     matrices = [build_features(r, global_range, 100) for r in ranges]

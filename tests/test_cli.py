@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import time
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from walshscape import load_dataset
+from walshscape import CategoricalSeries, Dataset, generate_synthetic, load_dataset, save_dataset
 from walshscape.cli import UsageError, _check_titles, main
 
 from conftest import label_agreement, truth_labels
@@ -106,7 +107,7 @@ class TestCluster:
         from walshscape import build_features, local_ranges, reduce_global_range
 
         ds = load_dataset(data_csv)
-        ranges = local_ranges(ds.series)
+        ranges = local_ranges(ds.levels)
         fm = build_features(ranges, reduce_global_range([ranges]), 100)
         grand = ((fm.rows - fm.rows.mean(axis=0)) ** 2).sum()
         metrics = json.loads((out / "metrics.json").read_text())
@@ -119,7 +120,7 @@ class TestCluster:
         from walshscape import build_features, local_ranges, reduce_global_range
 
         ds = load_dataset(data_csv)
-        ranges = local_ranges(ds.series)
+        ranges = local_ranges(ds.levels)
         rows = build_features(ranges, reduce_global_range([ranges]), 100).rows
 
         def global_mean_wcss(labels):
@@ -243,6 +244,27 @@ class TestSummarize:
         ]
         composition = (out / "composition_truth.csv").read_text()
         assert "\n1000000000,cluster1000000000," in composition and "\n2,night," in composition
+
+    def test_ids_and_values_with_commas_quotes_and_newlines_survive(self, tmp_path):
+        awkward = ["a,1", 'b"2', "c\n3"]
+        base = generate_synthetic(4, 32, noise=0.05, seed=1)
+        data = tmp_path / "awkward.csv"
+        save_dataset(Dataset.from_series([
+            CategoricalSeries(id=f"{awkward[i % 3]}-{i}", values=s.values,
+                              attributes={"wave": "1995,x" if i % 2 else "2017"})
+            for i, s in enumerate(base.series)
+        ]), data)
+        run, out = tmp_path / "run", tmp_path / "summary"
+        assert run_cli("cluster", "--input", str(data), "--out", str(run), "--K", "2", "--S", "1") == 0
+        with open(run / "labels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == load_dataset(data).ids
+        assert run_cli("summarize", "--input", str(data), "--labels", str(run / "labels.csv"),
+                       "--attributes", "wave", "--out", str(out)) == 0
+        with open(out / "composition_wave.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        assert {row[2] for row in rows[1:]} == {"1995,x", "2017"}
 
     def test_mismatched_labels_rejected(self, data_csv, tmp_path):
         bad = tmp_path / "bad_labels.csv"

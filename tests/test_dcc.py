@@ -39,7 +39,7 @@ def feature_matrix(rows) -> FeatureMatrix:
 
 def full_features(dataset, s_count, length, seed):
     plan = make_shard_plan(dataset.N, s_count, seed)
-    shards = [[dataset.series[i] for i in plan.shard_indices(s)] for s in range(s_count)]
+    shards = [dataset.levels[plan.shard_indices(s)] for s in range(s_count)]
     ranges = [local_ranges(sh) for sh in shards]
     global_range = reduce_global_range(ranges)
     return plan, [build_features(r, global_range, length) for r in ranges]
@@ -78,7 +78,7 @@ class TestPrepareFeatures:
         assert len(passed) > 3
         assert sum(len(m) for m in passed) == big.N
         padded = np.vstack(passed)
-        assert np.array_equal(padded[:, : big.T], big.values_matrix()[plan.order])
+        assert np.array_equal(padded[:, : big.T], big.levels[plan.order])
         assert not padded[:, big.T :].any()
 
     def test_identical_walsh_ranges_leave_nothing_to_cluster(self):

@@ -27,13 +27,13 @@ from conftest import toy_dataset
 class TestLocalRanges:
     def test_all_zero_series(self):
         ds = toy_dataset([[0, 0, 0, 0]], J=3)
-        mins, maxs = local_ranges(ds.series)
+        mins, maxs = local_ranges(ds.levels)
         assert np.array_equal(mins, [0.0]) and np.array_equal(maxs, [0.0])
 
     def test_single_minute_series(self):
         # T=1 pads to T2=1: the lone coefficient equals the value
         ds = toy_dataset([[2]], J=3)
-        mins, maxs = local_ranges(ds.series)
+        mins, maxs = local_ranges(ds.levels)
         assert np.array_equal(mins, [2.0]) and np.array_equal(maxs, [2.0])
 
     def test_matches_per_series_composition(self, rng):
@@ -42,14 +42,14 @@ class TestLocalRanges:
             series_range(fast_wft(zero_pad(s.values), t_original=len(s.values)))
             for s in ds.series
         ]
-        mins, maxs = local_ranges(ds.series)
+        mins, maxs = local_ranges(ds.levels)
         assert np.array_equal(mins, [r.d_min for r in expected])
         assert np.array_equal(maxs, [r.d_max for r in expected])
 
     def test_shard_of_several_chunks_matches_the_per_series_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 4, size=(200, 50)).tolist(), J=4)
         oracle = [series_range(fast_wft(zero_pad(s.values))) for s in ds.series]
-        mins, maxs = local_ranges(ds.series)
+        mins, maxs = local_ranges(ds.levels)
         assert mins.tobytes() == np.array([r.d_min for r in oracle]).tobytes()
         assert maxs.tobytes() == np.array([r.d_max for r in oracle]).tobytes()
 
@@ -91,13 +91,13 @@ class TestBuildFeatures:
     def test_rows_start_on_a_64_byte_boundary(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(17, 24)).tolist(), J=3)
         for length in (2, 3, 40, 100):
-            ranges = local_ranges(ds.series)
+            ranges = local_ranges(ds.levels)
             features = build_features(ranges, reduce_global_range([ranges]), length)
             assert features.rows.ctypes.data % 64 == 0
 
     def test_extremal_series_gets_the_full_tent(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(10, 32)).tolist(), J=3)
-        ranges = local_ranges(ds.series)
+        ranges = local_ranges(ds.levels)
         global_range = reduce_global_range([ranges])
         fm = build_features(ranges, global_range, 101)
         spread = global_range.D_max - global_range.D_min
@@ -110,12 +110,12 @@ class TestBuildFeatures:
 
     def test_degenerate_series_gives_zero_row(self):
         ds = toy_dataset([[0, 0, 0, 0], [0, 1, 2, 0]], J=3)
-        fm = build_features(local_ranges(ds.series), GlobalRange(-5.0, 5.0), 10)
+        fm = build_features(local_ranges(ds.levels), GlobalRange(-5.0, 5.0), 10)
         assert np.array_equal(fm.rows[0], np.zeros(10))
 
     def test_rows_match_diagram_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(8, 16)).tolist(), J=3)
-        ranges = local_ranges(ds.series)
+        ranges = local_ranges(ds.levels)
         global_range = reduce_global_range([ranges])
         for length in (2, 7, 100):
             fm = build_features(ranges, global_range, length)
@@ -129,14 +129,14 @@ class TestBuildFeatures:
     def test_stale_global_range_detected(self):
         ds = toy_dataset([[0, 2, 1, 2]], J=3)
         with pytest.raises(ValueError, match="stale|outside"):
-            build_features(local_ranges(ds.series), GlobalRange(0.0, 0.5), 10)
+            build_features(local_ranges(ds.levels), GlobalRange(0.0, 0.5), 10)
 
     def test_shard_split_does_not_change_features(self):
         ds = generate_synthetic(20, 64, noise=0.1, seed=11)
         matrices = {}
         for s_count in (1, 5):
             plan = make_shard_plan(ds.N, s_count, seed=4)
-            shards = [[ds.series[i] for i in plan.shard_indices(s)] for s in range(s_count)]
+            shards = [ds.levels[plan.shard_indices(s)] for s in range(s_count)]
             ranges = [local_ranges(sh) for sh in shards]
             global_range = reduce_global_range(ranges)
             rows = np.vstack([build_features(r, global_range, 50).rows for r in ranges])
@@ -147,16 +147,14 @@ class TestBuildFeatures:
 
     def test_interior_series_does_not_disturb_existing_rows(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(6, 32)).tolist(), J=3)
-        ranges = local_ranges(ds.series)
+        ranges = local_ranges(ds.levels)
         global_range = reduce_global_range([ranges])
         base = build_features(ranges, global_range, 40)
         # the appended series barely moves, so its range is strictly interior
-        from walshscape import CategoricalSeries
-
-        quiet = CategoricalSeries(id="quiet", values=np.array([0] * 31 + [1]))
-        (lo,), (hi,) = local_ranges([quiet])
+        quiet = np.array([[0] * 31 + [1]])
+        (lo,), (hi,) = local_ranges(quiet)
         assert global_range.D_min < lo <= hi < global_range.D_max
-        extended = build_features(local_ranges(ds.series + [quiet]), global_range, 40)
+        extended = build_features(local_ranges(np.vstack([ds.levels, quiet])), global_range, 40)
         assert np.array_equal(extended.rows[:6], base.rows)
 
 

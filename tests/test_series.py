@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,57 @@ from walshscape import (
     make_shard_plan,
     save_dataset,
 )
+from walshscape import series as series_module
 
 from conftest import toy_dataset
+
+
+def binary_fields(rows, n=None, t=3, j=3):
+    """(row, bytes) of every field of a binary dataset file, header first.
+
+    rows holds (id, weight, [(key, value)], levels) with ids, keys and
+    values as bytes, so that invalid UTF-8 can be written.
+    """
+    fields = [(0, b"CTS1"), (0, struct.pack("<III", len(rows) if n is None else n, t, j))]
+    for r, (ident, weight, attrs, levels) in enumerate(rows, start=1):
+        fields += [(r, struct.pack("<I", len(ident))), (r, ident), (r, struct.pack("<d", weight)),
+                   (r, struct.pack("<I", len(attrs)))]
+        for key, value in attrs:
+            fields += [(r, struct.pack("<I", len(key))), (r, key),
+                       (r, struct.pack("<I", len(value))), (r, value)]
+        fields.append((r, bytes(levels)))
+    return fields
+
+
+def binary_file(rows, **header) -> bytes:
+    return b"".join(data for _, data in binary_fields(rows, **header))
+
+
+TWO_ROWS = [(b"r1", 1.0, [(b"ab", b"xy")], [0, 1, 2]), (b"r2", 2.0, [(b"ab", b"zw")], [2, 1, 0])]
+FIELD_NAMES = ["id_len", "id", "weight", "n_attrs", "key_len", "key", "value_len", "value", "levels"]
+
+
+def _truncated_inside_each_field():
+    fields = binary_fields(TWO_ROWS)
+    cases, offset = [], 0
+    for k, (row, data) in enumerate(fields):
+        if row:
+            name = FIELD_NAMES[(k - 2) % len(FIELD_NAMES)]
+            cut = offset + len(data) // 2  # every field here is at least 2 bytes long
+            cases.append(pytest.param(binary_file(TWO_ROWS)[:cut], f"malformed row {row}: truncated file",
+                                      id=f"row{row}-{name}"))
+        offset += len(data)
+    return cases
+
+
+BINARY_FAULTS = [
+    pytest.param(b"XTS1" + binary_file(TWO_ROWS)[4:], "bad magic", id="bad-magic"),
+    *_truncated_inside_each_field(),
+    pytest.param(binary_file(TWO_ROWS) + b"\0", "trailing bytes after final series", id="trailing-byte"),
+    # 16 bytes whose header claims N = T = 2**32 - 1: read row by row, not sized from the header
+    pytest.param(b"CTS1" + struct.pack("<III", 2**32 - 1, 2**32 - 1, 3), "malformed row 1: truncated file",
+                 id="huge-header"),
+]
 
 
 class TestDatasetValidation:
@@ -33,9 +84,48 @@ class TestDatasetValidation:
         assert toy_dataset([[0, 1, 2]]).J == 3
         assert toy_dataset([[0, 0, 0]]).J == 2  # J is at least 2
 
-    def test_values_matrix_order(self):
+    def test_levels_order(self):
         ds = toy_dataset([[0, 1], [2, 0]])
-        assert np.array_equal(ds.values_matrix(), [[0, 1], [2, 0]])
+        assert np.array_equal(ds.levels, [[0, 1], [2, 0]])
+
+    def test_levels_use_the_smallest_unsigned_dtype(self):
+        assert toy_dataset([[0, 1], [2, 0]]).levels.dtype == np.uint8
+        assert toy_dataset([[0, 1], [2, 0]], J=256).levels.dtype == np.uint8
+        assert toy_dataset([[0, 1], [2, 0]], J=257).levels.dtype == np.uint16
+
+    def test_first_faulty_row_is_reported_whatever_the_fault(self):
+        with pytest.raises(DatasetError, match="level out of range at row 2"):
+            toy_dataset([[0, 1], [0, 5], [1, 0]], weights=[1.0, 1.0, float("nan")], J=3)
+
+    def test_row_views_write_into_the_columns(self):
+        ds = toy_dataset([[0, 1], [2, 0]])
+        row = ds.series[1]
+        row.id, row.weight = "renamed", 0.5
+        assert ds.ids == ["s0", "renamed"]
+        assert ds.weights.tolist() == [1.0, 0.5]
+
+
+# a CategoricalSeries rejects -inf itself, as a negative weight
+@pytest.mark.parametrize("source, weight", [
+    (source, weight) for source in ("csv", "binary", "from_series")
+    for weight in (float("nan"), float("inf"), float("-inf"))
+    if (source, weight) != ("from_series", float("-inf"))
+])
+def test_non_finite_weight_is_rejected_with_its_row(tmp_path, source, weight):
+    with pytest.raises(DatasetError, match="non-finite weight at row 2"):
+        if source == "csv":
+            path = tmp_path / "bad.csv"
+            path.write_text(f"id,w,t0,t1\np1,1.0,0,1\np2,{weight},1,0\n")
+            load_dataset(path)
+        elif source == "binary":
+            path = tmp_path / "bad.bin"
+            path.write_bytes(binary_file([(b"p1", 1.0, [], [0, 1]), (b"p2", weight, [], [1, 0])], t=2))
+            load_dataset(path, format="binary")
+        else:
+            Dataset.from_series([
+                CategoricalSeries(id="p1", values=[0, 1]),
+                CategoricalSeries(id="p2", values=[1, 0], weight=weight),
+            ])
 
 
 class TestRoundTrips:
@@ -94,6 +184,49 @@ class TestRoundTrips:
         with pytest.raises(DatasetError, match="magic"):
             load_dataset(path, format="binary")
 
+    @pytest.mark.parametrize("content, message", BINARY_FAULTS)
+    def test_binary_loader_faults(self, tmp_path, content, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(content)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(path, format="binary")
+
+    @pytest.mark.parametrize("field", ["id", "key", "value"])
+    def test_binary_invalid_utf8_names_its_row(self, tmp_path, field):
+        text = {"id": b"r2", "key": b"ab", "value": b"zw", field: b"\xff\xfe"}
+        path = tmp_path / "bad.bin"
+        path.write_bytes(binary_file([TWO_ROWS[0], (text["id"], 2.0, [(text["key"], text["value"])], [2, 1, 0])]))
+        with pytest.raises(DatasetError, match="malformed row 2: .*utf-8"):
+            load_dataset(path, format="binary")
+
+    def test_binary_zero_length_series_rejected_at_load(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(binary_file([(b"r1", 1.0, [], [])], t=0))
+        with pytest.raises(DatasetError, match="T must be positive"):
+            load_dataset(path, format="binary")
+
+    def test_formats_are_pinned_bytes(self, dataset, tmp_path):
+        save_dataset(dataset, tmp_path / "data.csv")
+        save_dataset(dataset, tmp_path / "data.bin", format="binary")
+        assert (tmp_path / "data.csv").read_bytes() == (
+            b"id,w,J,attr:gender,attr:income,attr:wave,t0,t1,t2,t3\r\n"
+            b"s0,0.1,3,f,,1995,0,1,2,0\r\n"
+            b"s1,2.5,3,,,2017,2,2,1,0\r\n"
+            b"s2,1.0,3,m,25k-55k,,1,0,0,1\r\n"
+        )
+        assert (tmp_path / "data.bin").read_bytes() == (
+            b"CTS1\x03\x00\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00"
+            b"\x02\x00\x00\x00s0\x9a\x99\x99\x99\x99\x99\xb9?\x02\x00\x00\x00"
+            b"\x06\x00\x00\x00gender\x01\x00\x00\x00f\x04\x00\x00\x00wave\x04\x00\x00\x001995"
+            b"\x00\x01\x02\x00"
+            b"\x02\x00\x00\x00s1\x00\x00\x00\x00\x00\x00\x04@\x01\x00\x00\x00"
+            b"\x04\x00\x00\x00wave\x04\x00\x00\x002017"
+            b"\x02\x02\x01\x00"
+            b"\x02\x00\x00\x00s2\x00\x00\x00\x00\x00\x00\xf0?\x02\x00\x00\x00"
+            b"\x06\x00\x00\x00gender\x01\x00\x00\x00m\x06\x00\x00\x00income\x07\x00\x00\x0025k-55k"
+            b"\x01\x00\x00\x01"
+        )
+
 
 class TestSyntheticGeneration:
     def test_workday_template_at_length_eight(self):
@@ -125,7 +258,7 @@ class TestSyntheticGeneration:
         # the 5-sigma radius accounts for the max over 1440*3*3 binomial cells
         n, t, noise = 1000, 1440, 0.05
         ds = generate_synthetic(n, t, noise=noise, seed=7)
-        values = ds.values_matrix()
+        values = ds.levels
         bound = noise + 5 * np.sqrt(noise / n)
         flip_rates = []
         off_level_rates = []
@@ -144,10 +277,15 @@ class TestSyntheticGeneration:
         assert np.allclose(flip_rates, noise, atol=0.002)
         assert np.allclose(off_level_rates, noise / 2, atol=0.002)
 
+    def test_draws_in_chunks_leave_the_levels_unchanged(self, monkeypatch):
+        whole = generate_synthetic(7, 16, 0.3, seed=2)
+        monkeypatch.setattr(series_module, "_SYNTH_ROWS", 3)
+        assert np.array_equal(generate_synthetic(7, 16, 0.3, seed=2).levels, whole.levels)
+
     def test_deterministic_given_seed(self):
         a = generate_synthetic(10, 32, 0.1, seed=5)
         b = generate_synthetic(10, 32, 0.1, seed=5)
-        assert np.array_equal(a.values_matrix(), b.values_matrix())
+        assert np.array_equal(a.levels, b.levels)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

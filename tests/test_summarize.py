@@ -33,6 +33,21 @@ class TestMinuteProportions:
         for table in minute_proportions(ds, labels, k=3).values():
             assert np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_bits_match_the_per_level_reference(self, rng):
+        # the per-level row-order sum that minute_proportions computed before
+        # it counted by bincount; the shares must stay equal bit for bit
+        n, t, j = 300, 40, 4
+        ds = toy_dataset(rng.integers(0, j, size=(n, t)).tolist(),
+                         weights=(rng.random(n) * 10.0 ** rng.uniform(-3, 3, n)).tolist(), J=j)
+        labels = rng.integers(1, 4, size=n)
+        for cluster, table in minute_proportions(ds, labels, k=3).items():
+            members = labels == cluster
+            block, w = ds.levels[members], ds.weights[members]
+            reference = np.zeros((t, j))
+            for level in range(j):
+                reference[:, level] = (w[:, None] * (block == level)).sum(axis=0)
+            assert table.tobytes() == (reference / w.sum()).tobytes()
+
     def test_empty_clusters_are_skipped(self):
         ds = toy_dataset([[0, 1]], J=3)
         tables = minute_proportions(ds, [2], k=3)
