@@ -18,9 +18,11 @@ runs for a fixed seed.
 from __future__ import annotations
 
 import array
+import codecs
 import csv
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +33,7 @@ class DatasetError(ValueError):
 
 _MAGIC = b"CTS1"
 _SYNTH_ROWS = 4096  # series per random draw in generate_synthetic
+_CSV_ROWS = 1024  # series per level block built by _save_csv
 
 ARCHETYPES = ("C1", "C2", "C3")
 
@@ -108,26 +111,7 @@ class Dataset:
         if weights.shape != (n,) or len(ids) != n or any(len(c) != n for c in attributes.values()):
             raise DatasetError(f"every column must hold one value per series ({n})")
 
-        faults = []  # (0-based row, message) of the first fault of each kind
-        out_of_range = levels.max(axis=1) >= J
-        if np.issubdtype(levels.dtype, np.signedinteger):
-            out_of_range |= levels.min(axis=1) < 0
-        if out_of_range.any():
-            faults.append((int(out_of_range.argmax()), "level out of range"))
-        bad_weight = ~(np.isfinite(weights) & (weights >= 0))
-        if bad_weight.any():
-            r = int(bad_weight.argmax())
-            faults.append((r, "negative weight" if np.isfinite(weights[r]) else "non-finite weight"))
-        seen: set[str] = set()
-        for r, ident in enumerate(ids):
-            if ident in seen:
-                faults.append((r, f"duplicate series id {ident!r}"))
-                break
-            seen.add(ident)
-        if faults:
-            r, message = min(faults)
-            raise DatasetError(f"{message} at row {r + 1}")
-
+        _check_rows(levels, weights, ids, J)
         self.levels = levels.astype(np.min_scalar_type(J - 1), copy=False)
         self.weights = weights
         self.ids = list(ids)
@@ -167,6 +151,30 @@ class Dataset:
             attributes={name: [s.attributes.get(name) for s in series] for name in names},
             J=J,
         )
+
+
+def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], J: int) -> None:
+    """Raise DatasetError naming the first 1-based row with a level outside
+    [0, J), a negative or non-finite weight, or a repeated id."""
+    faults = []  # (0-based row, message) of the first fault of each kind
+    out_of_range = levels.max(axis=1) >= J
+    if np.issubdtype(levels.dtype, np.signedinteger):
+        out_of_range |= levels.min(axis=1) < 0
+    if out_of_range.any():
+        faults.append((int(out_of_range.argmax()), "level out of range"))
+    bad_weight = ~(np.isfinite(weights) & (weights >= 0))
+    if bad_weight.any():
+        r = int(bad_weight.argmax())
+        faults.append((r, "negative weight" if np.isfinite(weights[r]) else "non-finite weight"))
+    seen: set[str] = set()
+    for r, ident in enumerate(ids):
+        if ident in seen:
+            faults.append((r, f"duplicate series id {ident!r}"))
+            break
+        seen.add(ident)
+    if faults:
+        r, message = min(faults)
+        raise DatasetError(f"{message} at row {r + 1}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +288,12 @@ def generate_synthetic(n_per_archetype: int, t: int, noise: float, seed: int) ->
 
 
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
-    """Write a dataset in the canonical CSV or the length-prefixed binary format."""
+    """Write a dataset in the canonical CSV or the length-prefixed binary format.
+
+    The columns are validated first, so ids and weights set through
+    `Dataset.series` cannot write a file that `load_dataset` rejects.
+    """
+    _check_rows(dataset.levels, dataset.weights, dataset.ids, dataset.J)
     if format == "csv":
         _save_csv(dataset, path)
     elif format == "binary":
@@ -304,76 +317,193 @@ def load_dataset(path, format: str = "csv") -> Dataset:
 
 
 def _save_csv(dataset: Dataset, path) -> None:
+    """csv.writer rows; for J <= 10 the level block of each row is built with numpy."""
     attr_names = sorted(dataset.attributes)
     columns = [dataset.attributes[a] for a in attr_names]
     header = ["id", "w", "J"] + [f"attr:{a}" for a in attr_names] + [
         f"t{k}" for k in range(dataset.T)
     ]
+    weights = dataset.weights.tolist()
+    t, width = dataset.T, 2 * dataset.T + 1  # a level line: digits and commas, then \r\n
+    heads: list[str] = []
+    head_writer = csv.writer(SimpleNamespace(write=heads.append))  # one write per row
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r, (ident, weight) in enumerate(zip(dataset.ids, dataset.weights.tolist())):
-            row = [ident, repr(weight), dataset.J]
-            row += [column[r] or "" for column in columns]  # an empty cell: the series lacks it
-            row += dataset.levels[r].tolist()
-            writer.writerow(row)
+        for start in range(0, dataset.N, _CSV_ROWS):
+            rows = range(start, min(start + _CSV_ROWS, dataset.N))
+            head_rows = ([dataset.ids[r], repr(weights[r]), dataset.J]
+                         + [column[r] or "" for column in columns]  # an empty cell: the series lacks it
+                         for r in rows)
+            if dataset.J > 10:  # levels of several digits
+                for r, row in zip(rows, head_rows):
+                    writer.writerow(row + dataset.levels[r].tolist())
+                continue
+            heads.clear()
+            head_writer.writerows(head_rows)
+            text = np.empty((len(rows), width), dtype=np.uint8)
+            text[:, : 2 * t - 1 : 2] = dataset.levels[start : rows.stop] + ord("0")
+            text[:, 1 : 2 * t - 1 : 2] = ord(",")
+            text[:, -2:] = (ord("\r"), ord("\n"))
+            lines = text.tobytes().decode("ascii")
+            # a head row ends in csv.writer's \r\n; its level line carries that ending instead
+            fh.write("".join(f"{head[:-2]},{lines[i * width : (i + 1) * width]}"
+                             for i, head in enumerate(heads)))
+
+
+class _CsvColumns:
+    """A dataset CSV header's layout, and its head columns (id, w, J, attr:*) filled row by row."""
+
+    def __init__(self, header: list[str]):
+        if not header or header[0] != "id":
+            raise DatasetError("first column must be 'id'")
+        self.width = len(header)
+        self.attr_cols: dict[int, str] = {}
+        self.level_cols: list[int] = []
+        self.w_col = self.j_col = None
+        for k, name in enumerate(header[1:], start=1):
+            if name == "w":
+                self.w_col = k
+            elif name == "J":
+                self.j_col = k
+            elif name.startswith("attr:"):
+                self.attr_cols[k] = name[len("attr:") :]
+            else:
+                self.level_cols.append(k)
+        if not self.level_cols:
+            raise DatasetError("no level columns declared in header")
+        self.J: int | None = None
+        self.ids, self.weights = [], []
+        self.attributes: dict[str, list] = {name: [] for name in self.attr_cols.values()}
+
+    def add(self, row: list[str], rownum: int) -> None:
+        """Decode the id, weight, J and attribute fields of the 1-based data row `rownum`."""
+        try:
+            self.weights.append(float(row[self.w_col]) if self.w_col is not None else 1.0)
+        except ValueError:
+            raise DatasetError(f"malformed row {rownum}: bad weight {row[self.w_col]!r}") from None
+        if self.j_col is not None:
+            try:
+                row_j = int(row[self.j_col])
+            except ValueError:
+                raise DatasetError(f"malformed row {rownum}: bad J {row[self.j_col]!r}") from None
+            if self.J is None:
+                self.J = row_j
+            elif row_j != self.J:
+                raise DatasetError(f"inconsistent J at row {rownum}")
+        self.ids.append(row[0])
+        for k, name in self.attr_cols.items():
+            self.attributes[name].append(row[k] or None)  # an empty cell: the series lacks it
+
+    def dataset(self, levels: np.ndarray) -> Dataset:
+        return Dataset(levels, self.weights, self.ids, self.attributes, J=self.J)
 
 
 def _load_csv(path) -> Dataset:
+    dataset = _load_csv_bulk(path)
+    return _load_csv_rows(path) if dataset is None else dataset
+
+
+def _load_csv_rows(path) -> Dataset:
+    """The reference reader: csv.reader, and int() on every level cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError("empty file") from None
-        if not header or header[0] != "id":
-            raise DatasetError("first column must be 'id'")
-        attr_cols: dict[int, str] = {}
-        level_cols: list[int] = []
-        w_col = j_col = None
-        for k, name in enumerate(header[1:], start=1):
-            if name == "w":
-                w_col = k
-            elif name == "J":
-                j_col = k
-            elif name.startswith("attr:"):
-                attr_cols[k] = name[len("attr:") :]
-            else:
-                level_cols.append(k)
-        if not level_cols:
-            raise DatasetError("no level columns declared in header")
-
-        declared_j: int | None = None
-        ids, weights = [], []
-        attributes: dict[str, list] = {name: [] for name in attr_cols.values()}
+        columns = _CsvColumns(header)
         levels = array.array("q")  # int64, row after row
         for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+            if len(row) != columns.width:
                 raise DatasetError(
-                    f"malformed row {rownum}: expected {len(header)} fields, got {len(row)}"
+                    f"malformed row {rownum}: expected {columns.width} fields, got {len(row)}"
                 )
+            columns.add(row, rownum)
             try:
-                weights.append(float(row[w_col]) if w_col is not None else 1.0)
-            except ValueError:
-                raise DatasetError(f"malformed row {rownum}: bad weight {row[w_col]!r}") from None
-            if j_col is not None:
-                try:
-                    row_j = int(row[j_col])
-                except ValueError:
-                    raise DatasetError(f"malformed row {rownum}: bad J {row[j_col]!r}") from None
-                if declared_j is None:
-                    declared_j = row_j
-                elif row_j != declared_j:
-                    raise DatasetError(f"inconsistent J at row {rownum}")
-            try:
-                levels.fromlist([int(row[k]) for k in level_cols])
+                levels.fromlist([int(row[k]) for k in columns.level_cols])
             except ValueError:
                 raise DatasetError(f"malformed row {rownum}: non-integer level") from None
-            ids.append(row[0])
-            for k, name in attr_cols.items():
-                attributes[name].append(row[k] or None)  # an empty cell: the series lacks it
-    matrix = np.frombuffer(levels, dtype=np.int64).reshape(len(ids), len(level_cols))
-    return Dataset(matrix, weights, ids, attributes, J=declared_j)
+            except OverflowError:  # beyond int64
+                raise DatasetError(f"level out of range at row {rownum}") from None
+    matrix = np.frombuffer(levels, dtype=np.int64).reshape(len(columns.ids), len(columns.level_cols))
+    return columns.dataset(matrix)
+
+
+def _line_spans(data: bytes):
+    r"""(start, stop) of each line of data, without its \n or \r\n ending."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0:
+            yield start, len(data)
+            return
+        yield start, end - 1 if end > start and data[end - 1] == ord("\r") else end
+        start = end + 1
+
+
+def _plain_fields(raw: bytes, limit: int) -> list[str] | None:
+    """The fields of a line's head as csv.reader reads them, or None if it might read them otherwise."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # csv.reader fails on a field longer than limit, and on NUL before Python 3.11
+    if len(text) > limit or '"' in text or "\r" in text or "\0" in text:
+        return None
+    return text.split(",")
+
+
+def _load_csv_bulk(path) -> Dataset | None:
+    r"""Read a CSV file of single-digit levels as bytes, or return None.
+
+    None sends the file, whole, to `_load_csv_rows`.  A file is read here
+    only if csv.reader would split each of its lines at every comma and the
+    row loop would parse every line: the locale's text encoding, which the
+    row loop reads with, is UTF-8; lines end in \r\n or \n (the last may
+    end in neither); no other byte is '"', \r or NUL; the level columns are
+    the header's trailing block; and each data line ends in that block as
+    2T-1 bytes of single ASCII digits and commas.  The head fields go
+    through the row loop's own `_CsvColumns.add`, and each line's digits
+    are copied into an (N, T) uint8 matrix, so the columns, and any error
+    the constructor raises on them, are the row loop's.
+    """
+    with open(path, newline="") as fh:  # opened as the row loop opens it, for its encoding
+        if codecs.lookup(fh.encoding).name != "utf-8":
+            return None
+        data = fh.buffer.read()
+    limit = csv.field_size_limit()
+    lines = _line_spans(data)
+    header = _plain_fields(data[slice(*next(lines, (0, 0)))], limit)
+    if header is None:
+        return None
+    try:
+        columns = _CsvColumns(header)
+    except DatasetError:
+        return None
+    n_head, t = columns.level_cols[0], len(columns.level_cols)
+    if n_head + t != columns.width:  # a head column among the level columns
+        return None
+    commas = b"," * (t - 1)
+    levels = bytearray()
+    for rownum, (start, stop) in enumerate(lines, start=1):
+        cut = stop - (2 * t - 1)  # where the level block starts
+        if cut <= start or data[cut - 1] != ord(",") or data[cut + 1 : stop : 2] != commas:
+            return None
+        digits = data[cut:stop:2]
+        fields = _plain_fields(data[start : cut - 1], limit)
+        if not digits.isdigit() or fields is None or len(fields) != n_head:
+            return None
+        try:
+            columns.add(fields, rownum)
+        except DatasetError:
+            return None
+        levels += digits
+    if not levels:
+        return None
+    matrix = np.frombuffer(levels, dtype=np.uint8).reshape(-1, t)
+    np.subtract(matrix, ord("0"), out=matrix)
+    return columns.dataset(matrix)
 
 
 def _write_text(fh, text: str) -> None:

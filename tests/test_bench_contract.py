@@ -3,8 +3,10 @@
 perfbench/ is only read here.  Its tracer patches package functions by
 (module, attribute) name, and its input set-up assigns ids and survey
 weights through `Dataset.series[i].id` / `.weight` before saving.  A
-rename, or a data model whose series are copies, breaks the benchmark;
-these tests say so without a bench run.
+rename, or a data model whose series are copies, breaks the benchmark,
+and a CSV reader that sends the bench's own file layout to its row loop
+takes survey-csv's ingest gain away; these tests say so without a bench
+run.
 """
 
 import importlib
@@ -68,6 +70,48 @@ def test_input_set_up_writes_the_ids_and_weights_it_assigns(tmp_path, monkeypatc
     assert [s.weight for s in written.series] != [s.weight for s in plain.series]
 
 
+def test_bench_csv_input_takes_the_bulk_reader(tmp_path, monkeypatch):
+    runner = _load("runner")
+    out = tmp_path / "input.csv"
+    runner.make_input(str(out), "csv", 3, 16, 0.05, 4, 1)
+    assert out.read_bytes().startswith(b"id,w,J,attr:truth,t0,")
+
+    def refuse(path):
+        raise AssertionError("the bench's CSV input went through the row loop")
+
+    monkeypatch.setattr(series, "_load_csv_rows", refuse)
+    assert load_dataset(out).N == 9
+
+
+def _runner_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_traced_survey_csv_commands_record_one_load_span_each(tmp_path):
+    # the traced survey-csv job at a small size: input set-up, cluster, summarize
+    data, run, trace = tmp_path / "input.csv", tmp_path / "run", tmp_path / "trace"
+    trace.mkdir()
+    commands = {
+        "setup": ["input", str(data), "csv", "10", "64", "0.05", "1", "1"],
+        "c0": ["cli", "cluster", "--input", str(data), "--format", "csv", "--out", str(run),
+               "--K", "3", "--S", "2", "--L", "20", "--I", "5", "--seed", "1"],
+        "c1": ["cli", "summarize", "--input", str(data), "--format", "csv",
+               "--labels", str(run / "labels.csv"), "--attributes", "truth",
+               "--out", str(tmp_path / "summary")],
+    }
+    for tag, argv in commands.items():
+        done = subprocess.run(
+            [sys.executable, str(PERFBENCH / "runner.py"), "--trace", str(trace), "job", tag, *argv],
+            env=_runner_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (tag, done.stdout, done.stderr)
+    for tag in ("c0", "c1"):
+        spans = json.loads((trace / f"spans-{tag}-main.json").read_text())["spans"]
+        loads = [attrs for _, _, name, _, _, attrs in spans if name == "series.load_dataset"]
+        assert loads == [{"bytes": data.stat().st_size}], tag
+
+
 def test_traced_cluster_records_the_wft_layer(tmp_path):
     # the tracer wraps `features.fast_wft_batch`; a range pass that calls
     # the transform under another name leaves the wft layer empty
@@ -75,13 +119,11 @@ def test_traced_cluster_records_the_wft_layer(tmp_path):
     series.save_dataset(series.generate_synthetic(25, 40, 0.05, 3), data, format="binary")
     trace = tmp_path / "trace"
     trace.mkdir()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     subprocess.run(
         [sys.executable, str(PERFBENCH / "runner.py"), "--trace", str(trace), "job", "t", "cli",
          "cluster", "--input", str(data), "--format", "binary", "--out", str(tmp_path / "out"),
          "--K", "2", "--S", "2", "--I", "3"],
-        env=env, check=True, capture_output=True, timeout=120,
+        env=_runner_env(), check=True, capture_output=True, timeout=120,
     )
     spans = json.loads((trace / "spans-t-main.json").read_text())["spans"]
     wft = [attrs for _, _, name, _, _, attrs in spans if name == "wft.fast_wft_batch"]

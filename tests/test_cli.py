@@ -317,6 +317,14 @@ class TestExitCodes:
             "cluster", "--input", str(bad), "--out", str(tmp_path / "o"), "--K", "2",
         ) == 2
 
+    def test_level_beyond_int64_is_data_error_naming_its_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,w,J,t0,t1\np1,1.0,3,0,1\np2,1.0,3,99999999999999999999,0\n")
+        out = tmp_path / "o"
+        assert run_cli("cluster", "--input", str(bad), "--out", str(out), "--K", "2") == 2
+        assert capsys.readouterr().err == "error: level out of range at row 2\n"
+        assert not out.exists()
+
     @staticmethod
     def _labels_lines(data_csv):
         ids = [s.id for s in load_dataset(data_csv).series]
