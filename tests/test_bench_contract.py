@@ -128,3 +128,26 @@ def test_traced_cluster_records_the_wft_layer(tmp_path):
     spans = json.loads((trace / "spans-t-main.json").read_text())["spans"]
     wft = [attrs for _, _, name, _, _, attrs in spans if name == "wft.fast_wft_batch"]
     assert wft and sum(attrs["rows"] for attrs in wft) == 75
+
+
+def test_traced_elbow_reports_the_wcss_of_the_plain_run(tmp_path):
+    # the tracer passes `on_iteration`, so a traced run computes the WCSS of
+    # every Lloyd pass, while a plain run computes it for the final pass only
+    data = tmp_path / "data.bin"
+    series.save_dataset(series.generate_synthetic(20, 40, 0.05, 4), data, format="binary")
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    columns = []
+    for name, prefix in [("plain", []), ("traced", ["--trace", str(trace), "job", "e"])]:
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, str(PERFBENCH / "runner.py"), *prefix, "cli", "elbow", "--input", str(data),
+             "--format", "binary", "--out", str(out), "--K", "2-4", "--S", "2", "--L", "20", "--I", "5",
+             "--seed", "4"],
+            env=_runner_env(), check=True, capture_output=True, timeout=120,
+        )
+        columns.append([line.split(",")[:2] for line in (out / "elbow.csv").read_text().splitlines()])
+    assert columns[0] == columns[1] and len(columns[0]) == 4
+    spans = json.loads((trace / "spans-e-main.json").read_text())["spans"]
+    lloyd = [attrs for _, _, name, _, _, attrs in spans if name == "kmeans.lloyd"]
+    assert lloyd and all(attrs["passes"] >= 1 for attrs in lloyd)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshscape import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
+from walshscape import Assignment, CentroidSet, init_uniform, kmeans, lloyd, wcss_total
 
 
 def oracle_lloyd(points, init, max_iters=1000, on_iteration=None):
@@ -48,6 +48,19 @@ def run_traced(kernel, points, init, max_iters):
     history = []
     assignment, centroids = kernel(points, init, max_iters, on_iteration=history.append)
     return assignment.labels.tolist(), assignment.wcss, centroids.centroids.tobytes(), history
+
+
+def run_untraced(kernel, points, init, max_iters):
+    """Without a callback `lloyd` computes the WCSS of the final pass only."""
+    assignment, centroids = kernel(points, init, max_iters)
+    return assignment.labels.tolist(), np.float64(assignment.wcss).tobytes(), centroids.centroids.tobytes()
+
+
+# Three distinct points, three copies each, and K=4: a cluster always
+# empties, and since a mean of three copies misses its point in the last
+# bits, the reseed moves one point group between two clusters and back.
+# From pass 1 on, the labels and centroids cycle with period 2.
+CYCLING_POINTS = np.repeat([[0.8, 0.6], [0.5, 0.3], [0.3, 0.1]], 3, axis=0)
 
 
 @st.composite
@@ -193,6 +206,21 @@ class TestLloyd:
         assignment, _ = lloyd(points, init_uniform(points, 3, seed=6))
         assert assignment.labels.min() >= 1 and assignment.labels.max() <= 3
 
+    def test_empty_points_rejected(self):
+        with pytest.raises(ValueError, match="points must not be empty"):
+            lloyd(np.zeros((0, 2)), CentroidSet(centroids=np.zeros((2, 2))))
+
+    def test_zero_clusters_rejected(self):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            lloyd(np.zeros((3, 2)), CentroidSet(centroids=np.zeros((0, 2))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.zeros((3, 2))
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            lloyd(points, CentroidSet(centroids=np.zeros((2, 2))))
+
 
 class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
@@ -200,6 +228,50 @@ class TestAgainstOracle:
     def test_equals_the_oracle_bit_for_bit(self, case):
         x, init, max_iters = case
         assert run_traced(lloyd, x, init, max_iters) == run_traced(oracle_lloyd, x, init, max_iters)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lloyd_cases(), st.sampled_from([1.0, 1e-160, 1e-300, 1e150]), st.booleans())
+    def test_scaled_points_equal_the_oracle(self, case, scale, traced):
+        # 1e-160 and 1e-300 put squared distances into and below the
+        # subnormal range; 1e150 puts them near the top of the range
+        x, init, max_iters = case
+        x, init = x * scale, CentroidSet(centroids=init.centroids * scale)
+        run = run_traced if traced else run_untraced
+        assert run(lloyd, x, init, max_iters) == run(oracle_lloyd, x, init, max_iters)
+
+    def test_rows_the_product_form_misplaces_take_the_direct_distances(self):
+        # at a 1e6 offset |x|^2 rounds by about 1e-4, far above the 1e-10
+        # gap between the two centroids' distances, so the argmin of the
+        # product form is noise for most rows
+        x = 1e6 + 1e-3 * np.repeat(np.arange(50.0)[:, None], 2, axis=1)
+        c = np.stack([x[25] + 5e-4, x[25] + 5e-4 + 1e-9])
+        product = ((x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1) - 2 * x @ c.T).argmin(axis=1)
+        init = CentroidSet(centroids=c)
+        first, _ = oracle_lloyd(x, init, max_iters=1)
+        assert (product != first.labels - 1).sum() >= 10
+        assert run_traced(lloyd, x, init, 1000) == run_traced(oracle_lloyd, x, init, 1000)
+        assert run_untraced(lloyd, x, init, 1) == run_untraced(oracle_lloyd, x, init, 1)
+
+    @pytest.mark.parametrize("max_iters", [*range(1, 8), 999, 1000, 1001])
+    def test_a_skipped_pass_cycle_ends_where_the_full_run_does(self, max_iters):
+        init = init_uniform(CYCLING_POINTS, 4, seed=0)
+        full = run_traced(oracle_lloyd, CYCLING_POINTS, init, max_iters)
+        assert len(full[3]) == max_iters  # it never converges
+        assert run_traced(lloyd, CYCLING_POINTS, init, max_iters) == full
+        assert run_untraced(lloyd, CYCLING_POINTS, init, max_iters) == run_untraced(
+            oracle_lloyd, CYCLING_POINTS, init, max_iters)
+
+    @pytest.mark.parametrize("budget, same_phase", [(10**5, 10), (10**5 + 1, 11)])
+    def test_a_cycle_skips_its_whole_periods(self, monkeypatch, budget, same_phase):
+        # the skipped run does a handful of passes and lands in the phase of
+        # the period-2 cycle that a short oracle run ends in
+        passes = []
+        nearest = kmeans._nearest
+        monkeypatch.setattr(kmeans, "_nearest", lambda *args: passes.append(1) or nearest(*args))
+        init = init_uniform(CYCLING_POINTS, 4, seed=0)
+        assert run_untraced(lloyd, CYCLING_POINTS, init, budget) == run_untraced(
+            oracle_lloyd, CYCLING_POINTS, init, same_phase)
+        assert len(passes) <= 5
 
     def test_one_column_means_may_differ_in_the_last_bits(self):
         # At L = 1 a cluster's rows form one contiguous column, which numpy
