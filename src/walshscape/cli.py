@@ -42,11 +42,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str, default):
+    """A flag's default: the environment's string, which argparse converts
+    with the flag's type only when the flag is absent, else `default`."""
     return os.environ.get(ENV_PREFIX + name, default)
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=int(_env("SEED", 0)), help="master seed (default 0)")
+    p.add_argument("--seed", type=int, default=_env("SEED", 0), help="master seed (default 0)")
 
 
 def build_parser() -> _Parser:
@@ -55,8 +57,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic three-archetype dataset")
     p.add_argument("--n", type=int, required=True, help="series per archetype")
-    p.add_argument("--T", type=int, default=int(_env("T", 1440)), help="minutes per series")
-    p.add_argument("--noise", type=float, default=float(_env("NOISE", 0.05)))
+    p.add_argument("--T", type=int, default=_env("T", 1440), help="minutes per series")
+    p.add_argument("--noise", type=float, default=_env("NOISE", 0.05))
     p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
     _add_common(p)
@@ -66,9 +68,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--S", type=int, default=int(_env("S", 1)), help="number of shards/workers")
-    p.add_argument("--L", type=int, default=int(_env("L", 100)), help="landscape length")
-    p.add_argument("--I", type=int, default=int(_env("I", 100)), help="max protocol rounds")
+    p.add_argument("--S", type=int, default=_env("S", 1), help="number of shards/workers")
+    p.add_argument("--L", type=int, default=_env("L", 100), help="landscape length")
+    p.add_argument("--I", type=int, default=_env("I", 100), help="max protocol rounds")
     p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
     p.add_argument("--transport", choices=["inproc", "socket"], default=_env("TRANSPORT", "inproc"))
     _add_common(p)
@@ -78,9 +80,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--K", required=True, help="K values: '2,3,4' or '2-5'")
-    p.add_argument("--S", type=int, default=int(_env("S", 1)))
-    p.add_argument("--L", type=int, default=int(_env("L", 100)))
-    p.add_argument("--I", type=int, default=int(_env("I", 100)))
+    p.add_argument("--S", type=int, default=_env("S", 1))
+    p.add_argument("--L", type=int, default=_env("L", 100))
+    p.add_argument("--I", type=int, default=_env("I", 100))
     p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
     _add_common(p)
     p.set_defaults(func=cmd_elbow)

@@ -65,8 +65,9 @@ def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix, in row order.
 
     Rows are copied _CHUNK_ROWS at a time into one reused buffer of the
-    levels' dtype whose zero padding is written once, so no (n, T2) matrix
-    is built.
+    levels' dtype whose zero padding is written once, and each chunk's
+    coefficients are released before the next is transformed, so no
+    (n, T2) matrix is built and one chunk's coefficients are live at a time.
     """
     levels = np.asarray(levels)
     if levels.ndim != 2 or not len(levels):
@@ -80,6 +81,7 @@ def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         coeffs = fast_wft_batch(buf[: len(chunk)])
         coeffs.min(axis=1, out=mins[start : start + len(chunk)])
         coeffs.max(axis=1, out=maxs[start : start + len(chunk)])
+        del coeffs  # so the next chunk's transform does not allocate beside it
     return mins, maxs
 
 

@@ -281,7 +281,9 @@ def generate_synthetic(n_per_archetype: int, t: int, noise: float, seed: int) ->
             flips[rows] = rng.random((rows.stop - rows.start, t)) < noise
         for rows in chunks:
             shifts = rng.integers(1, j, size=(rows.stop - rows.start, t))
-            block[rows] = np.where(flips[rows], (block[rows] + shifts) % j, block[rows])
+            sub = block[rows].reshape(-1)  # a view: block's rows are contiguous
+            cells = np.flatnonzero(flips[rows])  # only the flipped cells change
+            sub[cells] = (sub[cells] + shifts.reshape(-1)[cells]) % j
     ids = [f"{arch.lower()}-{i:05d}" for arch in ARCHETYPES for i in range(n)]
     truth = [arch for arch in ARCHETYPES for _ in range(n)]
     return Dataset(levels, np.ones(len(levels)), ids, {"truth": truth}, J=j)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -34,6 +36,22 @@ def toy_dataset(values_rows, weights=None, attrs=None, J=None) -> Dataset:
             )
         )
     return Dataset.from_series(series, J=J)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs, its
+    result included, above what was allocated before the call."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -394,6 +394,34 @@ class TestExitCodes:
             ) == 0
         assert (out1 / "labels.csv").read_bytes() == (out2 / "labels.csv").read_bytes()
 
+    @pytest.mark.parametrize("name, value", [("SEED", "x"), ("S", "two"), ("I", "1.5")])
+    def test_malformed_env_value_yields_to_an_explicit_flag(self, data_csv, tmp_path, monkeypatch, name, value):
+        args = ("cluster", "--input", str(data_csv), "--K", "3", "--S", "2", "--I", "100", "--seed", "9")
+        assert run_cli(*args, "--out", str(tmp_path / "plain")) == 0
+        monkeypatch.setenv(f"WALSHSCAPE_{name}", value)
+        assert run_cli(*args, "--out", str(tmp_path / "env")) == 0
+        labels = [(tmp_path / out / "labels.csv").read_bytes() for out in ("plain", "env")]
+        assert labels[0] == labels[1]
+
+    def test_malformed_env_value_is_a_usage_error_naming_its_flag(self, data_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WALSHSCAPE_SEED", "x")
+        out = tmp_path / "o"
+        assert run_cli("cluster", "--input", str(data_csv), "--out", str(out), "--K", "3") == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: 'x'\n"
+        assert not out.exists()
+
+    def test_malformed_env_seed_leaves_summarize_alone(self, data_csv, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        assert run_cli("cluster", "--input", str(data_csv), "--out", str(run), "--K", "3") == 0
+        monkeypatch.setenv("WALSHSCAPE_SEED", "x")
+        out = tmp_path / "summary"
+        capsys.readouterr()
+        assert run_cli(
+            "summarize", "--input", str(data_csv), "--labels", str(run / "labels.csv"), "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert len(list(out.glob("proportions_*.csv"))) == 3
+
 
 def _walk_titles(names, k):
     """Oracle: title every cluster 1..k in turn and stop at the first repeat."""

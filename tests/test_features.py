@@ -21,7 +21,7 @@ from walshscape import (
 )
 from walshscape.dcc import _prepare_features
 
-from conftest import toy_dataset
+from conftest import toy_dataset, traced_peak
 
 
 class TestLocalRanges:
@@ -56,6 +56,12 @@ class TestLocalRanges:
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             local_ranges([])
+
+    def test_one_chunk_of_coefficients_is_live_at_a_time(self):
+        # a 64-row chunk's coefficients take 1 MiB at T2 = 2048; two would take 2
+        levels = np.random.default_rng(0).integers(0, 3, size=(225, 1440)).astype(np.uint8)
+        local_ranges(levels)  # the cached factors are not part of the working set
+        assert traced_peak(local_ranges, levels) < 1.6 * 2**20
 
 
 class TestReduceGlobalRange:

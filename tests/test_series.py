@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walshscape import (
     ARCHETYPES,
@@ -294,6 +296,39 @@ class TestSyntheticGeneration:
             generate_synthetic(1, 1, 0.0, 1)
         with pytest.raises(ValueError):
             generate_synthetic(1, 8, 0.5, 1)
+
+
+def where_levels(n: int, t: int, noise: float, seed: int) -> np.ndarray:
+    """Oracle: `generate_synthetic`'s levels by its earlier formulation, the
+    same draws with np.where over every cell of each chunk."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = series_module._SYNTH_ROWS
+    chunks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    levels = np.empty((len(ARCHETYPES) * n, t), dtype=np.uint8)
+    for a, arch in enumerate(ARCHETYPES):
+        block = levels[a * n : (a + 1) * n]
+        block[:] = archetype_template(arch, t)
+        flips = np.empty((n, t), dtype=bool)
+        for chunk in chunks:
+            flips[chunk] = rng.random((chunk.stop - chunk.start, t)) < noise
+        for chunk in chunks:
+            shifts = rng.integers(1, 3, size=(chunk.stop - chunk.start, t))
+            block[chunk] = np.where(flips[chunk], (block[chunk] + shifts) % 3, block[chunk])
+    return levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(2, 1440).flatmap(lambda t: st.tuples(st.integers(1, max(1, 40000 // t)), st.just(t))),
+    noise=st.floats(0.0, 0.49),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=(series_module._SYNTH_ROWS + 3, 3), noise=0.3, seed=0)  # a short last chunk
+@example(size=(2 * series_module._SYNTH_ROWS + 1, 2), noise=0.49, seed=1)
+@example(size=(5, 1440), noise=0.0, seed=2)
+def test_synthetic_levels_equal_the_where_oracle(size, noise, seed):
+    n, t = size
+    assert generate_synthetic(n, t, noise, seed).levels.tobytes() == where_levels(n, t, noise, seed).tobytes()
 
 
 class TestShardPlan:

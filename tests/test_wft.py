@@ -18,6 +18,8 @@ from walshscape import (
     zero_pad,
 )
 
+from conftest import traced_peak
+
 POW2_SIZES = (2, 4, 8, 16, 32, 64)
 
 
@@ -203,6 +205,19 @@ class TestIntegerPath:
         out = fast_wft_batch(m)
         assert not np.signbit(out).any()
         assert np.count_nonzero(out == 0.0) > 8
+
+    @pytest.mark.parametrize("rows, t2, high", [(19, 2048, 3), (3, 8192, 256), (19, 2048, 2**20)])
+    def test_rows_over_several_blocks(self, rows, t2, high, rng):
+        # 8 rows of 2048 or 2 rows of 8192 levels make one block; 2**20 * 2048 takes float64
+        m = rng.integers(0, high, size=(rows, t2))
+        out = fast_wft_batch(m)
+        assert out.dtype == np.float64 and out.shape == m.shape and out.flags.c_contiguous
+        assert out.tobytes() == fast_wft_batch(m.astype(np.float64)).tobytes()
+
+    def test_working_set_is_the_result_and_one_block(self):
+        m = np.random.default_rng(0).integers(0, 3, size=(64, 2048)).astype(np.uint8)
+        fast_wft_batch(m)  # the cached factors are not part of the working set
+        assert traced_peak(fast_wft_batch, m) <= m.size * 8 + 256 * 1024
 
     def test_int64_minimum_takes_the_butterfly(self, monkeypatch):
         calls = []
