@@ -1,107 +1,48 @@
 """Clustering categorical time series with Walsh-Fourier transforms,
-first-order persistence landscapes, and divide-and-combine K-means."""
+first-order persistence landscapes, and divide-and-combine K-means.
 
-from .dcc import (
-    ClusterResult,
-    ElbowPoint,
-    ProtocolError,
-    RoundMessage,
-    derive_seed,
-    elbow_sweep,
-    master_consensus,
-    run_dcc,
-    worker_round,
-)
-from .features import (
-    FeatureMatrix,
-    GlobalRange,
-    build_features,
-    local_ranges,
-    reduce_global_range,
-)
-from .kmeans import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
-from .series import (
-    ARCHETYPES,
-    CategoricalSeries,
-    Dataset,
-    DatasetError,
-    ShardPlan,
-    archetype_template,
-    generate_synthetic,
-    load_dataset,
-    make_shard_plan,
-    save_dataset,
-)
-from .summarize import CompositionRow, CompositionTable, composition_table, minute_proportions
-from .tda import (
-    Landscape,
-    PersistenceDiagram,
-    landscape_closed_form,
-    landscape_from_diagram,
-    landscape_grid,
-    sublevel_persistence,
-)
-from .wft import (
-    SeriesRange,
-    WftVector,
-    fast_wft,
-    fast_wft_batch,
-    next_pow2,
-    series_range,
-    walsh_matrix,
-    walsh_value,
-    zero_pad,
-)
+The package namespace is lazy (PEP 562): `import walshscape` loads no
+submodule, and the first access to a public name, such as
+`walshscape.run_dcc` or `from walshscape import load_dataset`, imports only
+that name's home module and caches the value here.  Submodules are reached
+the same way (`from walshscape import series`).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCHETYPES",
-    "Assignment",
-    "CategoricalSeries",
-    "CentroidSet",
-    "ClusterResult",
-    "CompositionRow",
-    "CompositionTable",
-    "Dataset",
-    "DatasetError",
-    "ElbowPoint",
-    "FeatureMatrix",
-    "GlobalRange",
-    "Landscape",
-    "PersistenceDiagram",
-    "ProtocolError",
-    "RoundMessage",
-    "SeriesRange",
-    "ShardPlan",
-    "WftVector",
-    "archetype_template",
-    "build_features",
-    "composition_table",
-    "derive_seed",
-    "elbow_sweep",
-    "fast_wft",
-    "fast_wft_batch",
-    "generate_synthetic",
-    "init_uniform",
-    "landscape_closed_form",
-    "landscape_from_diagram",
-    "landscape_grid",
-    "lloyd",
-    "load_dataset",
-    "local_ranges",
-    "make_shard_plan",
-    "master_consensus",
-    "minute_proportions",
-    "next_pow2",
-    "reduce_global_range",
-    "run_dcc",
-    "save_dataset",
-    "series_range",
-    "sublevel_persistence",
-    "walsh_matrix",
-    "walsh_value",
-    "wcss_total",
-    "worker_round",
-    "zero_pad",
-]
+# home module -> the public names it provides; every submodule is also reachable by its name
+_PUBLIC = {
+    "dcc": "ClusterResult ElbowPoint ProtocolError RoundMessage derive_seed elbow_sweep"
+           " master_consensus run_dcc worker_round",
+    "features": "FeatureMatrix GlobalRange build_features local_ranges reduce_global_range",
+    "kmeans": "Assignment CentroidSet init_uniform lloyd wcss_total",
+    "series": "ARCHETYPES CategoricalSeries Dataset DatasetError ShardPlan archetype_template"
+              " generate_synthetic load_dataset make_shard_plan save_dataset",
+    "summarize": "CompositionRow CompositionTable composition_table minute_proportions",
+    "tda": "Landscape PersistenceDiagram landscape_closed_form landscape_from_diagram"
+           " landscape_grid sublevel_persistence",
+    "wft": "SeriesRange WftVector fast_wft fast_wft_batch next_pow2 series_range walsh_matrix"
+           " walsh_value zero_pad",
+    "cli": "",
+    "wire": "",
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = sorted(_HOME)
+_HOME.update((module, module) for module in _PUBLIC)
+
+
+def __getattr__(name: str):
+    """Import the home module of a public name or submodule, and cache the value."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

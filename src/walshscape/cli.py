@@ -47,6 +47,24 @@ def _env(name: str, default):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
+# the flags with choices, whose defaults argparse does not check (see _check_env_choices)
+_CHOICES = {"format": ("csv", "binary"), "transport": ("inproc", "socket")}
+
+
+def _check_env_choices(args) -> None:
+    """Raise UsageError if a choice flag holds a value outside its choices.
+
+    argparse checks the choices of a flag given on the command line only, so
+    such a value is a WALSHSCAPE_* default of a flag left out.
+    """
+    for dest, choices in _CHOICES.items():
+        value = getattr(args, dest, None)
+        if value is not None and value not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise UsageError(f"argument --{dest}: invalid choice from {ENV_PREFIX}{dest.upper()}: "
+                             f"{value!r} (choose from {allowed})")
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=_env("SEED", 0), help="master seed (default 0)")
 
@@ -60,7 +78,7 @@ def build_parser() -> _Parser:
     p.add_argument("--T", type=int, default=_env("T", 1440), help="minutes per series")
     p.add_argument("--noise", type=float, default=_env("NOISE", 0.05))
     p.add_argument("--out", required=True, help="output dataset file")
-    p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
+    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -71,8 +89,8 @@ def build_parser() -> _Parser:
     p.add_argument("--S", type=int, default=_env("S", 1), help="number of shards/workers")
     p.add_argument("--L", type=int, default=_env("L", 100), help="landscape length")
     p.add_argument("--I", type=int, default=_env("I", 100), help="max protocol rounds")
-    p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
-    p.add_argument("--transport", choices=["inproc", "socket"], default=_env("TRANSPORT", "inproc"))
+    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
+    p.add_argument("--transport", choices=_CHOICES["transport"], default=_env("TRANSPORT", "inproc"))
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -83,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--S", type=int, default=_env("S", 1))
     p.add_argument("--L", type=int, default=_env("L", 100))
     p.add_argument("--I", type=int, default=_env("I", 100))
-    p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
+    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     _add_common(p)
     p.set_defaults(func=cmd_elbow)
 
@@ -93,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--attributes", default="", help="comma-separated attribute names")
     p.add_argument("--cluster-names", default="", help="optional display names, e.g. '1=in home,2=night'")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=["csv", "binary"], default=_env("FORMAT", "csv"))
+    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     p.set_defaults(func=cmd_summarize)
 
     return parser
@@ -147,6 +165,14 @@ def _centroid_csv(matrix: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix) + "\n"
 
 
+def _proportions_csv(table: np.ndarray) -> str:
+    """A (T, J) proportions table as CSV: a minute column, then each level's share as %.17g."""
+    t, j = table.shape
+    row = "%d," + ",".join(["%.17g"] * j) + "\n"
+    header = "minute," + ",".join(f"level_{level}" for level in range(j)) + "\n"
+    return header + "".join(row % values for values in zip(range(t), *table.T.tolist()))
+
+
 def cmd_synth(args) -> None:
     dataset = generate_synthetic(args.n, args.T, args.noise, args.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -172,7 +198,7 @@ def cmd_cluster(args) -> None:
 
     labels_csv = _csv_text([("id", "label"), *zip(dataset.ids, result.labels.tolist())])
     order_csv = "position,original_index\n" + "".join(
-        f"{pos},{orig}\n" for pos, orig in enumerate(plan.order)
+        f"{pos},{orig}\n" for pos, orig in enumerate(plan.order.tolist())
     )
     metrics = {
         "K": args.K, "S": args.S, "L": args.L, "I": args.I, "seed": args.seed,
@@ -307,12 +333,7 @@ def cmd_summarize(args) -> None:
 
     files: dict[str, str | bytes] = {}
     for cluster, table in minute_proportions(dataset, labels, k).items():
-        header = "minute," + ",".join(f"level_{j}" for j in range(dataset.J))
-        body = "".join(
-            f"{minute}," + ",".join(f"{v:.17g}" for v in row) + "\n"
-            for minute, row in enumerate(table)
-        )
-        files[f"proportions_{_title(names, cluster)}.csv"] = header + "\n" + body
+        files[f"proportions_{_title(names, cluster)}.csv"] = _proportions_csv(table)
 
     for attribute in [a for a in args.attributes.split(",") if a.strip()]:
         comp = composition_table(dataset, labels, k, attribute)
@@ -333,6 +354,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_env_choices(args)
         args.func(args)
         return EXIT_OK
     except UsageError as exc:

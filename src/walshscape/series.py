@@ -10,6 +10,12 @@ generator, `Dataset.from_series`) fills these columns directly, and the
 constructor validates them once.  Ingestion order is preserved and is the
 reference ordering for cluster labels.
 
+The CSV reader takes a file's bytes whole when every level cell is one
+digit (`_load_csv_bulk`), and otherwise runs the csv.reader row loop
+(`_load_csv_rows`).  The CSV writer writes blocks of rows as bytes, with
+the level text built by numpy, and falls back to csv.writer rows for J > 10
+(`_save_csv`); either way the file is what csv.writer writes row by row.
+
 All randomness (sharding, synthesis) uses numpy's PCG64 generator seeded
 through SeedSequence, so results are reproducible across platforms and
 runs for a fixed seed.
@@ -22,6 +28,7 @@ import codecs
 import csv
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +40,7 @@ class DatasetError(ValueError):
 
 _MAGIC = b"CTS1"
 _SYNTH_ROWS = 4096  # series per random draw in generate_synthetic
-_CSV_ROWS = 1024  # series per level block built by _save_csv
+_CSV_ROWS = 1024  # series per block written by _save_csv
 
 ARCHETYPES = ("C1", "C2", "C3")
 
@@ -319,38 +326,50 @@ def load_dataset(path, format: str = "csv") -> Dataset:
 
 
 def _save_csv(dataset: Dataset, path) -> None:
-    """csv.writer rows; for J <= 10 the level block of each row is built with numpy."""
+    r"""csv.writer rows, written in the locale's text encoding.
+
+    For J <= 10 each block of _CSV_ROWS rows is one bytes write to the
+    file's binary buffer: csv.writer's head row (id, w, J, attr:*) of each
+    series, encoded, then that row's `,d,d,...,d\r\n` slice of a level text
+    block built with numpy as ASCII, which every locale encoding writes as
+    itself.  J > 10 takes plain csv.writer rows.
+    """
     attr_names = sorted(dataset.attributes)
     columns = [dataset.attributes[a] for a in attr_names]
     header = ["id", "w", "J"] + [f"attr:{a}" for a in attr_names] + [
         f"t{k}" for k in range(dataset.T)
     ]
     weights = dataset.weights.tolist()
-    t, width = dataset.T, 2 * dataset.T + 1  # a level line: digits and commas, then \r\n
-    heads: list[str] = []
-    head_writer = csv.writer(SimpleNamespace(write=heads.append))  # one write per row
+
+    def head_rows(rows: slice):  # csv.writer writes None, an attribute a series lacks, as an empty cell
+        return zip(dataset.ids[rows], map(repr, weights[rows]), repeat(dataset.J),
+                   *(column[rows] for column in columns))
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if dataset.J > 10:  # levels of several digits
+            for r, row in enumerate(head_rows(slice(None))):
+                writer.writerow((*row, *dataset.levels[r].tolist()))
+            return
+        fh.flush()  # the header precedes the blocks written below the text layer
+        t, width = dataset.T, 2 * dataset.T + 2  # a level line: a comma before each digit, then \r\n
+        heads: list[str] = []
+        head_writer = csv.writer(SimpleNamespace(write=heads.append))  # one write per row
         for start in range(0, dataset.N, _CSV_ROWS):
-            rows = range(start, min(start + _CSV_ROWS, dataset.N))
-            head_rows = ([dataset.ids[r], repr(weights[r]), dataset.J]
-                         + [column[r] or "" for column in columns]  # an empty cell: the series lacks it
-                         for r in rows)
-            if dataset.J > 10:  # levels of several digits
-                for r, row in zip(rows, head_rows):
-                    writer.writerow(row + dataset.levels[r].tolist())
-                continue
+            rows = slice(start, min(start + _CSV_ROWS, dataset.N))
             heads.clear()
-            head_writer.writerows(head_rows)
-            text = np.empty((len(rows), width), dtype=np.uint8)
-            text[:, : 2 * t - 1 : 2] = dataset.levels[start : rows.stop] + ord("0")
-            text[:, 1 : 2 * t - 1 : 2] = ord(",")
+            head_writer.writerows(head_rows(rows))
+            text = np.empty((len(heads), width), dtype=np.uint8)
+            text[:, : 2 * t : 2] = ord(",")
+            np.add(dataset.levels[rows], ord("0"), out=text[:, 1 : 2 * t : 2])
             text[:, -2:] = (ord("\r"), ord("\n"))
-            lines = text.tobytes().decode("ascii")
+            lines = memoryview(text).cast("B")
+            parts = [b""] * (2 * len(heads))
             # a head row ends in csv.writer's \r\n; its level line carries that ending instead
-            fh.write("".join(f"{head[:-2]},{lines[i * width : (i + 1) * width]}"
-                             for i, head in enumerate(heads)))
+            parts[::2] = [head[:-2].encode(fh.encoding, fh.errors) for head in heads]
+            parts[1::2] = [lines[i : i + width] for i in range(0, len(lines), width)]
+            fh.buffer.write(b"".join(parts))
 
 
 class _CsvColumns:

@@ -245,7 +245,9 @@ def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
     dtype = _exact_dtype(matrix)
     if dtype is None:
         natural = _fwht_natural(matrix)
-        return np.divide(natural[..., _bit_reversal(n_bits)], np.sqrt(t2), dtype=np.float64)
+        # np.take writes a C-ordered result; indexing with [..., rev] leaves 2-D ones F-ordered
+        sequency = np.take(natural, _bit_reversal(n_bits), axis=-1)
+        return np.divide(sequency, np.sqrt(t2), dtype=np.float64)
     left, right = _sequency_factors(n_bits, dtype)
     p, q = len(left), len(right)
     rows = matrix.reshape(-1, t2)

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from walshscape import CategoricalSeries, Dataset, generate_synthetic, load_dataset, save_dataset
-from walshscape.cli import UsageError, _check_titles, main
+from walshscape import (
+    CategoricalSeries,
+    Dataset,
+    generate_synthetic,
+    load_dataset,
+    make_shard_plan,
+    save_dataset,
+)
+from walshscape.cli import UsageError, _check_titles, _proportions_csv, main
 
 from conftest import label_agreement, truth_labels
 
@@ -421,6 +428,63 @@ class TestExitCodes:
         ) == 0
         assert capsys.readouterr().err == ""
         assert len(list(out.glob("proportions_*.csv"))) == 3
+
+
+    @pytest.mark.parametrize("command", ["synth", "cluster", "elbow", "summarize"])
+    @pytest.mark.parametrize("name, value, allowed", [
+        ("FORMAT", "xml", ("csv", "binary")), ("TRANSPORT", "tcp", ("inproc", "socket")),
+    ])
+    def test_env_value_outside_the_choices_is_a_usage_error(
+            self, data_csv, tmp_path, monkeypatch, capsys, command, name, value, allowed):
+        labels = tmp_path / "run" / "labels.csv"
+        assert run_cli("cluster", "--input", str(data_csv), "--K", "3", "--out", str(labels.parent)) == 0
+        args = {
+            "synth": ("--n", "2", "--T", "8"),
+            "cluster": ("--input", str(data_csv), "--K", "3"),
+            "elbow": ("--input", str(data_csv), "--K", "2,3"),
+            "summarize": ("--input", str(data_csv), "--labels", str(labels)),
+        }[command]
+        monkeypatch.setenv(f"WALSHSCAPE_{name}", value)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = run_cli(command, *args, "--out", str(out))
+        if name == "TRANSPORT" and command != "cluster":  # a command without the flag ignores it
+            assert code == 0 and capsys.readouterr().err == ""
+            return
+        flag = f"--{name.lower()}"
+        assert code == 1
+        assert capsys.readouterr().err == (f"usage error: argument {flag}: invalid choice from "
+                                           f"WALSHSCAPE_{name}: {value!r} "
+                                           f"(choose from {allowed[0]!r}, {allowed[1]!r})\n")
+        assert not out.exists()
+        # an explicit valid flag still wins over the environment's value
+        assert run_cli(command, *args, "--out", str(out), flag, allowed[0]) == 0
+
+
+def _fstring_proportions(table) -> str:
+    """The proportions file as cmd_summarize formatted it value by value with f-strings."""
+    header = "minute," + ",".join(f"level_{j}" for j in range(table.shape[1]))
+    return header + "\n" + "".join(
+        f"{minute}," + ",".join(f"{v:.17g}" for v in row) + "\n" for minute, row in enumerate(table)
+    )
+
+
+def test_proportions_csv_equals_the_fstring_formatting():
+    # zeros, a third, subnormals, and values whose shortest repr needs 17 digits
+    values = [0.0, 1.0, 1 / 3, 5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1 - 2**-53, 2 / 3,
+              -0.0, 123456789.12345678]
+    for j in (2, 3, 5, 10):
+        table = np.array(values * j).reshape(-1, j)
+        assert _proportions_csv(table) == _fstring_proportions(table)
+
+
+def test_order_csv_equals_the_numpy_scalar_formatting(data_csv, tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("cluster", "--input", str(data_csv), "--K", "3", "--S", "4", "--seed", "2",
+                   "--out", str(out)) == 0
+    order = make_shard_plan(120, 4, 2).order
+    expected = "position,original_index\n" + "".join(f"{pos},{orig}\n" for pos, orig in enumerate(order))
+    assert (out / "order.csv").read_text() == expected
 
 
 def _walk_titles(names, k):

@@ -3,13 +3,15 @@
 `series._load_csv_rows` (csv.reader and int() on every cell) is the
 oracle of the bulk reader `series._load_csv_bulk`: a file the bulk reader
 takes must give the same columns, and any other file goes through the row
-loop whole.  The writer's numpy level block is checked against plain
-csv.writer rows.
+loop whole.  The writer is checked against plain csv.writer rows, and
+against `string_writer`, the text-mode writer its block bytes writes
+replaced, byte for byte.
 """
 
 import builtins
 import csv
 import io
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -239,3 +241,113 @@ def test_save_rejects_columns_its_loader_would_reject(tmp_path, fmt, edit, messa
     with pytest.raises(DatasetError, match=message):
         save_dataset(dataset, path, format=fmt)
     assert not path.exists()
+
+
+def string_writer(dataset: Dataset, path, encoding=None) -> None:
+    """The text-mode writer that block bytes writes replaced: each block of
+    head rows and numpy level text joined into one str and written through
+    the text layer in `encoding` (the locale's by default)."""
+    attr_names = sorted(dataset.attributes)
+    columns = [dataset.attributes[a] for a in attr_names]
+    header = ["id", "w", "J"] + [f"attr:{a}" for a in attr_names] + [f"t{k}" for k in range(dataset.T)]
+    weights = dataset.weights.tolist()
+    t, width = dataset.T, 2 * dataset.T + 1
+    heads: list[str] = []
+    head_writer = csv.writer(SimpleNamespace(write=heads.append))
+    with open(path, "w", newline="", encoding=encoding) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, dataset.N, series_module._CSV_ROWS):
+            rows = range(start, min(start + series_module._CSV_ROWS, dataset.N))
+            head_rows = ([dataset.ids[r], repr(weights[r]), dataset.J]
+                         + [column[r] or "" for column in columns]
+                         for r in rows)
+            if dataset.J > 10:
+                for r, row in zip(rows, head_rows):
+                    writer.writerow(row + dataset.levels[r].tolist())
+                continue
+            heads.clear()
+            head_writer.writerows(head_rows)
+            text = np.empty((len(rows), width), dtype=np.uint8)
+            text[:, : 2 * t - 1 : 2] = dataset.levels[start : rows.stop] + ord("0")
+            text[:, 1 : 2 * t - 1 : 2] = ord(",")
+            text[:, -2:] = (ord("\r"), ord("\n"))
+            lines = text.tobytes().decode("ascii")
+            fh.write("".join(f"{head[:-2]},{lines[i * width : (i + 1) * width]}"
+                             for i, head in enumerate(heads)))
+
+
+FIELD_TEXT = st.text(st.sampled_from(PLAIN + ',"\r\n' + "ü€😀"), max_size=6)
+LONG_WEIGHTS = [0.1 + 0.2, 1 / 3, 2 / 3, 1 - 2**-53, 5e-324, 123456789.12345678]  # 17 digits, a subnormal
+
+
+@st.composite
+def block_datasets(draw):
+    """Datasets of one, several and part blocks of _CSV_ROWS rows, with awkward head fields."""
+    n = draw(st.sampled_from([1, 1023, 1024, 1025, 2049]))
+    t = draw(st.integers(1, 4))
+    J = draw(st.sampled_from([2, 10, 11]))
+    prefixes = draw(st.lists(FIELD_TEXT, min_size=1, max_size=4))
+    ids = [f"{prefixes[i % len(prefixes)]}|{i}" for i in range(n)]  # '|' is in no prefix
+    cells = st.lists(st.one_of(st.none(), st.just(""), FIELD_TEXT), min_size=1, max_size=4)
+    attributes = {}
+    for name in draw(st.sets(st.sampled_from(["a", "b,c", 'q"']), max_size=2)):
+        pool = draw(cells)
+        attributes[name] = [pool[i % len(pool)] for i in range(n)]
+    pool = draw(st.lists(st.one_of(st.floats(0, 1e300), st.sampled_from(LONG_WEIGHTS)), min_size=1, max_size=4))
+    weights = [pool[i % len(pool)] for i in range(n)]
+    levels = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, J, size=(n, t))
+    return Dataset(levels, weights, ids, attributes, J=J)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_datasets())
+def test_block_writer_equals_the_string_writer(tmp_path_factory, dataset):
+    folder = tmp_path_factory.mktemp("csv")
+    path = folder / "data.csv"
+    save_dataset(dataset, path)
+    string_writer(dataset, folder / "oracle.csv")
+    data = path.read_bytes()
+    assert data == (folder / "oracle.csv").read_bytes()
+
+    attributes = {name: [value or None for value in column] for name, column in dataset.attributes.items()}
+    written = (dataset.levels.tobytes(), dataset.levels.dtype, dataset.levels.shape, dataset.ids,
+               dataset.weights.tobytes(), {k: v for k, v in attributes.items() if any(v)}, dataset.J)
+    assert outcome(series_module._load_csv_rows, path) == written
+    bulk = series_module._load_csv_bulk(path)
+    # the bulk reader declines levels of two digits, and the quotes csv.writer puts
+    # round a field that holds a comma, a quote or a line break
+    assert (bulk is None) == (dataset.levels.max() > 9 or b'"' in data)
+    if bulk is not None:
+        assert outcome(lambda p: bulk, path) == written
+
+
+def with_encoding(encoding):
+    return lambda *args, **kw: builtins.open(*args, encoding=encoding, **kw)
+
+
+@pytest.mark.parametrize("encoding, ident", [
+    ("latin-1", 'é, "ß"\r\n'), ("cp1252", '€, "é"\r\n'), ("shift_jis", '日本, "語"\r\n'),
+])
+def test_block_writer_equals_the_string_writer_in_other_locale_encodings(tmp_path, monkeypatch, encoding, ident):
+    dataset = generate_synthetic(400, 5, 0.1, 3)
+    dataset.ids[1] = ident
+    monkeypatch.setattr(series_module, "open", with_encoding(encoding), raising=False)
+    save_dataset(dataset, tmp_path / "data.csv")
+    string_writer(dataset, tmp_path / "oracle.csv", encoding=encoding)
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_a_head_field_the_encoding_cannot_hold_raises_as_the_string_writer_did(tmp_path, monkeypatch):
+    dataset = generate_synthetic(700, 5, 0.1, 3)
+    dataset.ids[1500] = "x€"  # in the second block; latin-1 has no euro sign
+    monkeypatch.setattr(series_module, "open", with_encoding("latin-1"), raising=False)
+    raised = []
+    for write, path in ((lambda p: save_dataset(dataset, p), tmp_path / "data.csv"),
+                        (lambda p: string_writer(dataset, p, encoding="latin-1"), tmp_path / "oracle.csv")):
+        with pytest.raises(UnicodeEncodeError) as caught:
+            write(path)
+        exc = caught.value
+        raised.append((exc.encoding, exc.reason, exc.object[exc.start : exc.end], path.read_bytes()))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == "€" and raised[0][3].count(b"\r\n") == 1 + series_module._CSV_ROWS

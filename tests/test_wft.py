@@ -110,6 +110,17 @@ class TestFastWft:
         for i in range(7):
             assert np.array_equal(batch[i], fast_wft(m[i]).coeffs)
 
+    @pytest.mark.parametrize("t2", POW2_SIZES)
+    def test_butterfly_result_is_c_ordered(self, t2, rng):
+        # float input, and integers whose bound max|x| * T2 exceeds 2**53, run the butterfly
+        rev = wft_module._bit_reversal(t2.bit_length() - 1)
+        for rows in range(2, 9):
+            for m in (rng.normal(size=(rows, t2)), rng.integers(2**52, 2**60, size=(rows, t2))):
+                out = fast_wft_batch(m)
+                gathered = wft_module._fwht_natural(m)[..., rev]  # the F-ordered gather it replaced
+                assert out.flags.c_contiguous and out.shape == m.shape
+                assert out.tobytes() == (gathered / math.sqrt(t2)).tobytes()
+
     def test_parseval_at_full_day_length(self, rng):
         for _ in range(20):
             x = rng.normal(size=2048)
