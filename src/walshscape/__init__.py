@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it provides; every submodule is also reachable by its name
 _PUBLIC = {
-    "dcc": "ClusterResult ElbowPoint ProtocolError RoundMessage derive_seed elbow_sweep"
+    "dcc": "ClusterResult ProtocolError RoundMessage derive_seed elbow_sweep"
            " master_consensus run_dcc worker_round",
     "features": "FeatureMatrix GlobalRange build_features local_ranges reduce_global_range",
     "kmeans": "Assignment CentroidSet init_uniform lloyd wcss_total",

@@ -139,10 +139,9 @@ def _write_outputs(out_dir: str, files: dict[str, str | bytes]) -> None:
     try:
         for name, content in files.items():
             tmp = os.path.join(out_dir, f".tmp-{os.getpid()}-{name}")
-            mode = "wb" if isinstance(content, bytes) else "w"
-            with open(tmp, mode) as fh:
+            staged.append((tmp, os.path.join(out_dir, name)))  # before the write, which may fail part way
+            with open(tmp, "wb" if isinstance(content, bytes) else "w") as fh:
                 fh.write(content)
-            staged.append((tmp, os.path.join(out_dir, name)))
         for tmp, final in staged:
             os.replace(tmp, final)
     except BaseException:
@@ -231,23 +230,15 @@ def cmd_elbow(args) -> None:
     points = elbow_sweep(
         dataset, _parse_k_list(args.K), s=args.S, length=args.L, seed=args.seed, max_rounds=args.I
     )
-    table = "K,wcss,feature_seconds,kmeans_seconds,rounds_used,converged,cycle_period\n" + "".join(
-        f"{p.K},{p.wcss:.17g},{p.feature_seconds:.3f},{p.kmeans_seconds:.3f},"
-        f"{p.rounds_used},{p.converged},{p.cycle_period or ''}\n" for p in points
-    )
-    long_rows = ["K,metric,value"]
-    for p in points:
-        long_rows += [
-            f"{p.K},wcss,{p.wcss:.17g}",
-            f"{p.K},feature_seconds,{p.feature_seconds:.3f}",
-            f"{p.K},kmeans_seconds,{p.kmeans_seconds:.3f}",
-            f"{p.K},rounds_used,{p.rounds_used}",
-            f"{p.K},converged,{p.converged}",
-            f"{p.K},cycle_period,{p.cycle_period or ''}",
-        ]
+    header = ("K", "wcss", "feature_seconds", "kmeans_seconds", "rounds_used", "converged", "cycle_period")
+    rows = [(f"{p.K}", f"{p.wcss:.17g}", f"{p.feature_seconds:.3f}", f"{p.kmeans_seconds:.3f}",
+             f"{p.rounds_used}", f"{p.converged}", f"{p.cycle_period or ''}") for p in points]
     _write_outputs(args.out, {
-        "elbow.csv": table,
-        "elbow_long.csv": "\n".join(long_rows) + "\n",
+        "elbow.csv": "".join(",".join(row) + "\n" for row in [header, *rows]),
+        # the long table pivots the wide rows: one (K, metric, value) row per field
+        "elbow_long.csv": "K,metric,value\n" + "".join(
+            f"{row[0]},{metric},{value}\n" for row in rows for metric, value in zip(header[1:], row[1:])
+        ),
     })
     for p in points:
         print(f"K={p.K} wcss={p.wcss:.6g} ({p.feature_seconds:.3f}s FE + {p.kmeans_seconds:.3f}s K-means)")

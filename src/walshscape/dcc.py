@@ -18,7 +18,9 @@ Per-worker seeds derive deterministically from (seed, worker_id), so
 results do not depend on execution order or transport.  One round loop,
 `coordinate_rounds`, drives both transports: the in-process one calls the
 workers directly, the socket one (see `wire`) runs them as separate
-processes, and both must produce identical results.
+processes, and both must produce identical results.  `run_dcc` runs one
+K; `elbow_sweep` computes the features once and returns one `ClusterResult`
+per K, each equal to `run_dcc`'s for that K but for the two timers.
 """
 
 from __future__ import annotations
@@ -86,16 +88,9 @@ class ClusterResult:
     cycle_start: int | None
     cycle_period: int | None
 
-
-@dataclass(frozen=True)
-class ElbowPoint:
-    K: int
-    wcss: float
-    feature_seconds: float
-    kmeans_seconds: float
-    rounds_used: int
-    converged: bool
-    cycle_period: int | None
+    @property
+    def K(self) -> int:
+        return self.centroids.K
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -249,6 +244,29 @@ def _run_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: in
     return coordinate_rounds(matrices, k, seed, max_rounds, exchange, lambda: retained)
 
 
+def _cluster(prepared, k: int, seed: int, max_rounds: int, run_rounds) -> ClusterResult:
+    """Run and time the round loop on `_prepare_features`' output; labels go back to ingestion order."""
+    plan, matrices, feature_seconds = prepared
+    t0 = time.perf_counter()
+    (assignments, worker_centroids, consensus, rounds_used, converged,
+     cycle_start, cycle_period) = run_rounds(matrices, k, seed, max_rounds)
+    kmeans_seconds = time.perf_counter() - t0
+    per_shard = tuple(a.wcss for a in assignments)
+    return ClusterResult(
+        labels=plan.restore(np.concatenate([a.labels for a in assignments])),
+        wcss=wcss_total(per_shard),
+        centroids=consensus,
+        rounds_used=rounds_used,
+        converged=converged,
+        worker_centroids=worker_centroids,
+        wcss_per_shard=per_shard,
+        feature_seconds=feature_seconds,
+        kmeans_seconds=kmeans_seconds,
+        cycle_start=cycle_start,
+        cycle_period=cycle_period,
+    )
+
+
 def run_dcc(
     dataset: Dataset,
     k: int,
@@ -266,35 +284,13 @@ def run_dcc(
     """
     if k < 1:
         raise ValueError("K must be at least 1")
-    plan, matrices, feature_seconds = _prepare_features(dataset, s, length, seed)
-
-    t0 = time.perf_counter()
     if transport == "inproc":
         run_rounds = _run_rounds
     elif transport == "socket":
         from .wire import run_socket_rounds as run_rounds
     else:
         raise ValueError(f"unknown transport {transport!r}")
-    (assignments, worker_centroids, consensus, rounds_used, converged,
-     cycle_start, cycle_period) = run_rounds(matrices, k, seed, max_rounds)
-    kmeans_seconds = time.perf_counter() - t0
-
-    labels_shard_order = np.concatenate([a.labels for a in assignments])
-    labels = plan.restore(labels_shard_order)
-    per_shard = tuple(a.wcss for a in assignments)
-    return ClusterResult(
-        labels=labels,
-        wcss=wcss_total(per_shard),
-        centroids=consensus,
-        rounds_used=rounds_used,
-        converged=converged,
-        worker_centroids=worker_centroids,
-        wcss_per_shard=per_shard,
-        feature_seconds=feature_seconds,
-        kmeans_seconds=kmeans_seconds,
-        cycle_start=cycle_start,
-        cycle_period=cycle_period,
-    )
+    return _cluster(_prepare_features(dataset, s, length, seed), k, seed, max_rounds, run_rounds)
 
 
 def elbow_sweep(
@@ -304,28 +300,10 @@ def elbow_sweep(
     length: int = DEFAULT_LANDSCAPE_LENGTH,
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> list[ElbowPoint]:
-    """Run the protocol once per K with features computed once and reused."""
+) -> list[ClusterResult]:
+    """`run_dcc` in process once per K, with features computed once and reused."""
     k_list = list(k_list)
     if not k_list:
         raise ValueError("K list must not be empty")
-    _, matrices, feature_seconds = _prepare_features(dataset, s, length, seed)
-    points = []
-    for k in k_list:
-        t0 = time.perf_counter()
-        assignments, _, _, rounds_used, converged, _, cycle_period = _run_rounds(
-            matrices, k, seed, max_rounds
-        )
-        kmeans_seconds = time.perf_counter() - t0
-        points.append(
-            ElbowPoint(
-                K=k,
-                wcss=wcss_total(a.wcss for a in assignments),
-                feature_seconds=feature_seconds,
-                kmeans_seconds=kmeans_seconds,
-                rounds_used=rounds_used,
-                converged=converged,
-                cycle_period=cycle_period,
-            )
-        )
-    return points
+    prepared = _prepare_features(dataset, s, length, seed)
+    return [_cluster(prepared, k, seed, max_rounds, _run_rounds) for k in k_list]

@@ -379,18 +379,15 @@ class _CsvColumns:
         if not header or header[0] != "id":
             raise DatasetError("first column must be 'id'")
         self.width = len(header)
-        self.attr_cols: dict[int, str] = {}
         self.level_cols: list[int] = []
-        self.w_col = self.j_col = None
+        head: dict[str, int] = {}  # w, J and attr:* columns, each at most once
         for k, name in enumerate(header[1:], start=1):
-            if name == "w":
-                self.w_col = k
-            elif name == "J":
-                self.j_col = k
-            elif name.startswith("attr:"):
-                self.attr_cols[k] = name[len("attr:") :]
-            else:
+            if name not in ("w", "J") and not name.startswith("attr:"):
                 self.level_cols.append(k)
+            elif head.setdefault(name, k) != k:
+                raise DatasetError(f"header repeats column {name!r}")
+        self.w_col, self.j_col = head.pop("w", None), head.pop("J", None)
+        self.attr_cols = {k: name[len("attr:") :] for name, k in head.items()}
         if not self.level_cols:
             raise DatasetError("no level columns declared in header")
         self.J: int | None = None
@@ -581,7 +578,10 @@ def _load_binary(path) -> Dataset:
             (n_attrs,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
             for _ in range(n_attrs):
                 key = _read_text(fh, rownum)
-                cells.setdefault(key, {})[rownum - 1] = _read_text(fh, rownum)
+                column = cells.setdefault(key, {})
+                if rownum - 1 in column:
+                    raise DatasetError(f"malformed row {rownum}: repeated attribute {key!r}")
+                column[rownum - 1] = _read_text(fh, rownum)
             levels += _read_exact(fh, t, rownum)
         if fh.read(1):
             raise DatasetError("trailing bytes after final series")

@@ -151,3 +151,20 @@ def test_traced_elbow_reports_the_wcss_of_the_plain_run(tmp_path):
     spans = json.loads((trace / "spans-e-main.json").read_text())["spans"]
     lloyd = [attrs for _, _, name, _, _, attrs in spans if name == "kmeans.lloyd"]
     assert lloyd and all(attrs["passes"] >= 1 for attrs in lloyd)
+
+
+def test_traced_elbow_records_one_round_loop_span_per_k(tmp_path):
+    # the tracer replaces `dcc._run_rounds` in the module; a sweep that binds
+    # the loop before that (a default argument, an alias) records no span
+    data = tmp_path / "data.bin"
+    series.save_dataset(series.generate_synthetic(20, 40, 0.05, 4), data, format="binary")
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "runner.py"), "--trace", str(trace), "job", "e", "cli", "elbow",
+         "--input", str(data), "--format", "binary", "--out", str(tmp_path / "out"), "--K", "2-4",
+         "--S", "2", "--L", "20", "--I", "5", "--seed", "4"],
+        env=_runner_env(), check=True, capture_output=True, timeout=120,
+    )
+    spans = json.loads((trace / "spans-e-main.json").read_text())["spans"]
+    assert [attrs["k"] for _, _, name, _, _, attrs in spans if name == "dcc.run_rounds"] == [2, 3, 4]

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import walshscape.cli as cli_module
 from walshscape import (
     CategoricalSeries,
     Dataset,
@@ -149,6 +151,17 @@ class TestCluster:
             )
         assert label_agreement(labels[1], labels[8]) == 1.0
         assert global_mean_wcss(labels[1]) == pytest.approx(global_mean_wcss(labels[8]), abs=1e-9)
+
+    def test_a_write_that_fails_part_way_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        dataset = generate_synthetic(4, 16, 0.1, 2)
+        dataset.ids[5] = "x€"  # latin-1 has no euro sign, so labels.csv fails after its first rows
+        save_dataset(dataset, tmp_path / "data.csv")
+        latin1 = lambda *args, **kw: builtins.open(*args, encoding="latin-1", **kw)  # noqa: E731
+        monkeypatch.setattr(cli_module, "open", latin1, raising=False)
+        out = tmp_path / "run"
+        assert run_cli("cluster", "--input", str(tmp_path / "data.csv"), "--out", str(out), "--K", "2") == 2
+        assert "'latin-1' codec can't encode" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestElbow:

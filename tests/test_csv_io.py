@@ -136,6 +136,27 @@ def test_corrupt_files_give_the_row_loop_error(tmp_path, ending, row, message, b
         assert series_module._load_csv_bulk(path) is None
 
 
+@pytest.mark.parametrize("header, row, name", [
+    pytest.param("id,w,w,J,t0,t1", "p1,-1,1.0,3,0,1", "w", id="w"),  # the first w is negative
+    pytest.param("id,w,J,J,t0,t1", "p1,1.0,3,3,0,1", "J", id="J"),
+    pytest.param("id,attr:a,w,attr:a,t0,t1", "p1,x,1.0,y,0,1", "attr:a", id="attr"),
+])
+def test_a_repeated_head_column_is_named_by_both_readers(tmp_path, header, row, name):
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"{header}\n{row}\n")
+    expected = ("error", f"header repeats column {name!r}")
+    assert outcome(series_module._load_csv_rows, path) == expected
+    assert series_module._load_csv_bulk(path) is None  # so load_dataset raises the row loop's error
+    assert outcome(load_dataset, path) == expected
+
+
+def test_repeated_level_column_names_stay_accepted(tmp_path):
+    path = tmp_path / "levels.csv"
+    path.write_text("id,t,t,t\np1,0,1,2\n")
+    assert outcome(load_dataset, path) == outcome(series_module._load_csv_rows, path)
+    assert load_dataset(path).levels.tolist() == [[0, 1, 2]]
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b"", id="empty"),
     pytest.param(b"id,t0\r\n", id="header-only"),

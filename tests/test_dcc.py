@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -278,6 +279,14 @@ class TestRunDcc:
         with pytest.raises(ValueError):
             run_dcc(dataset, k=0, s=2)
 
+    def test_unknown_transport_raises_before_the_feature_pass(self, dataset, monkeypatch):
+        def refuse(levels):
+            raise AssertionError("the range pass ran")
+
+        monkeypatch.setattr(dcc_module, "local_ranges", refuse)
+        with pytest.raises(ValueError, match="unknown transport 'tcp'"):
+            run_dcc(dataset, k=2, s=2, transport="tcp")
+
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_rejects_round_budget_below_one(self, dataset, transport):
         for bad in (0, -1):
@@ -332,6 +341,26 @@ class TestElbowSweep:
         dataset = generate_synthetic(5, 32, noise=0.0, seed=0)
         with pytest.raises(ValueError):
             elbow_sweep(dataset, [], s=1)
+
+    def test_each_result_equals_the_run_dcc_result_but_for_the_timers(self):
+        dataset = generate_synthetic(20, 96, 0.05, 7)
+        results = elbow_sweep(dataset, [3, 4], s=2, length=20, seed=3)
+        assert [r.K for r in results] == [3, 4]
+        assert results[1].cycle_period is not None  # both a converging and an oscillating run
+        for swept in results:
+            single = run_dcc(dataset, k=swept.K, s=2, length=20, seed=3)
+            for field in dataclasses.fields(single):
+                if field.name in ("feature_seconds", "kmeans_seconds"):
+                    continue
+                a, b = getattr(swept, field.name), getattr(single, field.name)
+                if field.name == "labels":
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                elif field.name == "centroids":
+                    assert a.centroids.tobytes() == b.centroids.tobytes()
+                elif field.name == "worker_centroids":
+                    assert [c.centroids.tobytes() for c in a] == [c.centroids.tobytes() for c in b]
+                else:
+                    assert a == b, field.name
 
 
 def plain_run_rounds(matrices, k, seed, max_rounds):

@@ -63,6 +63,8 @@ BINARY_FAULTS = [
     pytest.param(b"XTS1" + binary_file(TWO_ROWS)[4:], "bad magic", id="bad-magic"),
     *_truncated_inside_each_field(),
     pytest.param(binary_file(TWO_ROWS) + b"\0", "trailing bytes after final series", id="trailing-byte"),
+    pytest.param(binary_file([TWO_ROWS[0], (b"r2", 2.0, [(b"a", b"p"), (b"a", b"q")], [2, 1, 0])]),
+                 "^malformed row 2: repeated attribute 'a'$", id="repeated-attribute"),
     # 16 bytes whose header claims N = T = 2**32 - 1: read row by row, not sized from the header
     pytest.param(b"CTS1" + struct.pack("<III", 2**32 - 1, 2**32 - 1, 3), "malformed row 1: truncated file",
                  id="huge-header"),
