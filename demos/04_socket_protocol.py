@@ -2,9 +2,9 @@
 """The socket transport: worker processes exchanging binary frames.
 
 Runs the same clustering twice, once with in-process workers and once
-with real worker processes talking length-prefixed frames over localhost
-TCP, and verifies the results are bit-identical.  Also shows the frame
-layout itself.
+with forked worker processes, each talking length-prefixed frames to the
+coordinator over its own socket pair, and verifies the results are
+bit-identical.  Also shows the frame layout itself.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ back = unpack_round(payload)
 print("decodes to: worker", back.worker_id, "round", back.round, "flag", back.flag)
 print("centroids:", back.centroids.centroids.tolist())
 
-print("\n=== In-process vs worker processes over TCP ===")
+print("\n=== In-process vs worker processes ===")
 dataset = generate_synthetic(100, 1440, noise=0.05, seed=7)
 in_process = run_dcc(dataset, k=3, s=4, length=100, seed=7, transport="inproc")
 socketed = run_dcc(dataset, k=3, s=4, length=100, seed=7, transport="socket")

@@ -129,6 +129,9 @@ def _parse_k_list(text: str) -> list[int]:
         raise UsageError(f"bad K list {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise UsageError(f"bad K list {text!r}")
+    if len(set(values)) < len(values):  # each K would run again and repeat its rows
+        twice = next(v for i, v in enumerate(values) if v in values[:i])
+        raise UsageError(f"K list {text!r} names K={twice} twice")
     return values
 
 
@@ -226,10 +229,9 @@ def cmd_cluster(args) -> None:
 
 
 def cmd_elbow(args) -> None:
+    k_list = _parse_k_list(args.K)  # a usage error before the load
     dataset = load_dataset(args.input, format=args.format)
-    points = elbow_sweep(
-        dataset, _parse_k_list(args.K), s=args.S, length=args.L, seed=args.seed, max_rounds=args.I
-    )
+    points = elbow_sweep(dataset, k_list, s=args.S, length=args.L, seed=args.seed, max_rounds=args.I)
     header = ("K", "wcss", "feature_seconds", "kmeans_seconds", "rounds_used", "converged", "cycle_period")
     rows = [(f"{p.K}", f"{p.wcss:.17g}", f"{p.feature_seconds:.3f}", f"{p.kmeans_seconds:.3f}",
              f"{p.rounds_used}", f"{p.converged}", f"{p.cycle_period or ''}") for p in points]

@@ -25,6 +25,7 @@ per K, each equal to `run_dcc`'s for that K but for the two timers.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -280,13 +281,16 @@ def run_dcc(
 
     Deterministic for fixed (dataset, k, s, length, seed, max_rounds).
     converged is False only when the loop hit max_rounds with some flag
-    still raised; the last state is returned either way.
+    still raised; the last state is returned either way.  transport
+    "socket" forks S worker processes (see `wire`), so it needs os.fork.
     """
     if k < 1:
         raise ValueError("K must be at least 1")
     if transport == "inproc":
         run_rounds = _run_rounds
     elif transport == "socket":
+        if not hasattr(os, "fork"):
+            raise ValueError("transport 'socket' forks its workers and needs os.fork")
         from .wire import run_socket_rounds as run_rounds
     else:
         raise ValueError(f"unknown transport {transport!r}")

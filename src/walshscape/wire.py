@@ -1,8 +1,8 @@
 """Socket transport for the divide-and-combine protocol.
 
-Workers run as separate processes and talk to the coordinator over
-localhost TCP with length-prefixed binary frames (all integers little
-endian):
+Each worker is a child process forked by the coordinator, joined to it by
+its own socket pair (so POSIX `os.fork` is required).  The two ends
+exchange length-prefixed binary frames (all integers little endian):
 
     frame    := u32 payload_length, payload
     payload  := u8 kind, body
@@ -23,16 +23,15 @@ sends RESULT; kmeans_iters is always `dcc.DEFAULT_KMEANS_ITERS`.  The
 coordinator runs `dcc.coordinate_rounds`, as the in-process transport
 does, and doubles travel bit-exactly, so both give identical results.  A
 frame of the wrong kind or length, a payload too long for the u32 length
-prefix, a flag byte other than 0 or 1, a failed send or receive (naming
-the worker) and a worker process exiting before all have connected raise
-ProtocolError, which the CLI reports as exit 3.  A worker whose
-coordinator gave up exits 1 with one stderr line.
+prefix, a flag byte other than 0 or 1, and a failed send or receive,
+such as that of a worker which died at any point, raise ProtocolError
+naming the worker, which the CLI reports as exit 3.  A worker that fails
+or whose coordinator gave up exits 1 with one stderr line.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import os
 import socket
 import struct
 import sys
@@ -141,30 +140,42 @@ def unpack_result(payload: bytes):
     return worker_id, labels.astype(np.int64), wcss
 
 
-def worker_entry(host: str, port: int) -> None:
-    """Worker process: SETUP, first round, then answer broadcasts until STOP.
 
-    A lost connection or a bad frame exits 1 with one stderr line, no traceback.
-    """
+
+def worker_entry(conn: socket.socket) -> None:
+    """Worker process: SETUP, first round, then answer broadcasts until STOP."""
+    worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
+    features = FeatureMatrix(rows=rows)
+    round_index, incoming, prev = 1, None, None
+    while True:
+        message, prev = worker_round(
+            features, incoming, k, seed, round_index,
+            worker_id=worker_id, prev=prev, max_iters=kmeans_iters,
+        )
+        _send_frame(conn, pack_round(message))
+        payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
+        if payload[0] == KIND_STOP:
+            _send_frame(conn, pack_result(worker_id, prev.labels, prev.wcss))
+            return
+        broadcast = unpack_round(payload)
+        incoming, round_index = broadcast.centroids, broadcast.round
+
+
+def _fork_worker(conn: socket.socket, inherited: list[socket.socket]) -> int:
+    """Fork a worker serving conn and return its pid; the child never returns."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
     try:
-        with socket.create_connection((host, port), timeout=_TIMEOUT) as conn:
-            worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
-            features = FeatureMatrix(rows=rows)
-            round_index, incoming, prev = 1, None, None
-            while True:
-                message, prev = worker_round(
-                    features, incoming, k, seed, round_index,
-                    worker_id=worker_id, prev=prev, max_iters=kmeans_iters,
-                )
-                _send_frame(conn, pack_round(message))
-                payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
-                if payload[0] == KIND_STOP:
-                    _send_frame(conn, pack_result(worker_id, prev.labels, prev.wcss))
-                    return
-                broadcast = unpack_round(payload)
-                incoming, round_index = broadcast.centroids, broadcast.round
-    except (OSError, ProtocolError) as exc:
-        sys.exit(f"worker: {exc}")
+        for end in inherited:  # coordinator ends: each worker must see EOF when the coordinator closes
+            end.close()
+        worker_entry(conn)  # looked up at call time, so a patched worker_entry runs
+        code = 0
+    except BaseException as exc:  # KeyboardInterrupt too: the child must not unwind into the caller
+        print(f"worker: {str(exc) or type(exc).__name__}", file=sys.stderr, flush=True)
+    finally:
+        os._exit(code)
 
 
 def _per_worker(conns: list[socket.socket], op) -> list:
@@ -178,39 +189,24 @@ def _per_worker(conns: list[socket.socket], op) -> list:
     return out
 
 
-def _await_connection(listener: socket.socket, procs: list) -> None:
-    """Block until a connection is pending; a worker process that exits first is a fault."""
-    sentinels = {p.sentinel: p for p in procs}
-    ready = multiprocessing.connection.wait([listener, *sentinels], _TIMEOUT)
-    for p in (sentinels[r] for r in ready if r is not listener):
-        p.join(1)
-        raise ProtocolError(f"worker process {p.name} exited with code {p.exitcode} during startup")
-    if not ready:
-        raise ProtocolError(f"no worker connected within {_TIMEOUT} s")
-
-
 def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int):
-    """Coordinator side; same return shape and values as the in-process loop."""
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    procs = []
+    """Coordinator side; same return shape and values as the in-process loop.
+
+    Worker wid is a forked child on its own socket pair, of which the
+    coordinator keeps conns[wid - 1]; every child is reaped before this returns.
+    """
     conns: list[socket.socket] = []
+    pids: list[int] = []
 
     def exchange(i: int, consensus: CentroidSet | None) -> list[RoundMessage]:
-        if i == 1:  # start the workers; the wid-th accepted connection serves shard wid
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(len(matrices))
+        if i == 1:  # start the workers; the child's end of each pair closes here at once
             for _ in matrices:
-                p = ctx.Process(target=worker_entry, args=listener.getsockname(), daemon=True)
-                p.start()
-                procs.append(p)
-            for _ in matrices:
-                _await_connection(listener, procs)
-                conn, _ = listener.accept()
-                conn.settimeout(_TIMEOUT)
-                conns.append(conn)
+                ours, theirs = socket.socketpair()
+                conns.append(ours)
+                with theirs:
+                    for end in (ours, theirs):
+                        end.settimeout(_TIMEOUT)
+                    pids.append(_fork_worker(theirs, conns))
             _per_worker(conns, lambda wid, conn: _send_frame(
                 conn, pack_setup(wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1].rows)
             ))
@@ -234,10 +230,7 @@ def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_roun
     except (OSError, struct.error) as exc:
         raise ProtocolError(f"socket transport failed: {exc}") from exc
     finally:
-        for conn in conns:
+        for conn in conns:  # a worker still waiting on its end sees EOF and exits
             conn.close()
-        listener.close()
-        for p in procs:
-            p.join(timeout=10)
-            if p.is_alive():
-                p.terminate()
+        for pid in pids:
+            os.waitpid(pid, 0)

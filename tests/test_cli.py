@@ -307,6 +307,15 @@ class TestExitCodes:
                 "elbow", "--input", str(data_csv), "--out", str(tmp_path / "x"), "--K", bad,
             ) == 1
 
+    def test_repeated_k_is_usage_error_naming_it(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "x"
+        for repeated in ("3,3", "2,3,4,3"):
+            assert run_cli("elbow", "--input", str(data_csv), "--out", str(out), "--K", repeated) == 1
+            assert f"K list '{repeated}' names K=3 twice" in capsys.readouterr().err
+        # checked before the load: a missing input is not reached
+        assert run_cli("elbow", "--input", str(tmp_path / "missing.csv"), "--out", str(out), "--K", "3,3") == 1
+        assert not out.exists()
+
     def test_round_budget_below_one_is_data_error(self, data_csv, tmp_path):
         out = tmp_path / "o"
         for command, k in (("cluster", "2"), ("elbow", "2,3")):

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import time
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import walshscape.dcc as dcc_module
 import walshscape.wire as wire
 from walshscape import CentroidSet, ProtocolError, RoundMessage, generate_synthetic, run_dcc
 from walshscape.cli import main
@@ -71,10 +71,7 @@ valid_frames = st.one_of(
 )
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="only forked workers inherit a patched module",
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="socket workers are forked")
 
 
 class TestMalformedFrames:
@@ -200,14 +197,44 @@ class TestSocketTransport:
         assert "Traceback" not in capfd.readouterr().err
 
     @needs_fork
-    def test_worker_dead_before_connecting_is_named_promptly(self, monkeypatch):
-        monkeypatch.setattr(wire, "worker_entry", lambda host, port: os._exit(1))
-        monkeypatch.setattr(wire, "_TIMEOUT", 30.0)
+    def test_worker_dead_before_reading_setup_is_named_promptly(self, monkeypatch):
+        monkeypatch.setattr(wire, "worker_entry", lambda conn: os._exit(1))
         dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
         t0 = time.monotonic()
-        with pytest.raises(ProtocolError, match=r"worker process \S+ exited with code 1"):
+        with pytest.raises(ProtocolError, match=r"worker 1\b"):
             run_dcc(dataset, k=2, s=2, length=20, seed=5, transport="socket")
         assert time.monotonic() - t0 < 5.0
+
+    @needs_fork
+    def test_worker_that_raises_is_named_and_never_runs_the_callers_code(self, monkeypatch, tmp_path, capfd):
+        def raises(conn):
+            raise RuntimeError("worker entry failed")
+
+        monkeypatch.setattr(wire, "worker_entry", raises)
+        dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
+        marker = tmp_path / "pids"
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(ProtocolError, match=r"worker 1\b"):
+                run_dcc(dataset, k=2, s=3, length=20, seed=5, transport="socket")
+        finally:  # a child that unwound out of run_dcc would append its own pid here
+            with open(marker, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert time.monotonic() - t0 < 5.0
+        assert marker.read_text().split() == [str(os.getpid())]
+        err = capfd.readouterr().err
+        assert err.count("worker: worker entry failed\n") == 3
+        assert "Traceback" not in err
+
+    def test_socket_transport_without_fork_raises_before_the_feature_pass(self, monkeypatch):
+        def refuse(levels):
+            raise AssertionError("the range pass ran")
+
+        monkeypatch.setattr(dcc_module, "local_ranges", refuse)
+        monkeypatch.delattr(os, "fork", raising=False)
+        dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
+        with pytest.raises(ValueError, match="os.fork"):
+            run_dcc(dataset, k=2, s=2, transport="socket")
 
     def test_unknown_transport_rejected(self):
         dataset = generate_synthetic(5, 32, noise=0.0, seed=0)
