@@ -192,10 +192,8 @@ def cmd_synth(args) -> None:
 
 def cmd_cluster(args) -> None:
     dataset = load_dataset(args.input, format=args.format)
-    result = run_dcc(
-        dataset, k=args.K, s=args.S, length=args.L, seed=args.seed,
-        max_rounds=args.I, transport=args.transport,
-    )
+    result = run_dcc(dataset, k=args.K, s=args.S, length=args.L, seed=args.seed,
+                     max_rounds=args.I, transport=args.transport)
     plan = make_shard_plan(dataset.N, args.S, args.seed)
 
     labels_csv = _csv_text([("id", "label"), *zip(dataset.ids, result.labels.tolist())])

@@ -25,7 +25,6 @@ per K, each equal to `run_dcc`'s for that K but for the two timers.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -289,9 +288,8 @@ def run_dcc(
     if transport == "inproc":
         run_rounds = _run_rounds
     elif transport == "socket":
-        if not hasattr(os, "fork"):
-            raise ValueError("transport 'socket' forks its workers and needs os.fork")
-        from .wire import run_socket_rounds as run_rounds
+        from .wire import require_fork, run_socket_rounds as run_rounds
+        require_fork()
     else:
         raise ValueError(f"unknown transport {transport!r}")
     return _cluster(_prepare_features(dataset, s, length, seed), k, seed, max_rounds, run_rounds)

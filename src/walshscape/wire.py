@@ -22,19 +22,21 @@ answers every ROUND broadcast with its own ROUND report until STOP, then
 sends RESULT; kmeans_iters is always `dcc.DEFAULT_KMEANS_ITERS`.  The
 coordinator runs `dcc.coordinate_rounds`, as the in-process transport
 does, and doubles travel bit-exactly, so both give identical results.  A
-frame of the wrong kind or length, a payload too long for the u32 length
-prefix, a flag byte other than 0 or 1, and a failed send or receive,
-such as that of a worker which died at any point, raise ProtocolError
-naming the worker, which the CLI reports as exit 3.  A worker that fails
-or whose coordinator gave up exits 1 with one stderr line.
+frame of the wrong kind or length, a payload over the u32 length prefix,
+a flag byte other than 0 or 1, and a failed send or receive (a worker
+that died, or was silent for `_TIMEOUT` s) raise ProtocolError naming the
+worker: CLI exit 3.  A worker that fails or is given up on exits 1 with
+one stderr line; one still running `_REAP_GRACE` s later is killed.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import struct
 import sys
+import time
 
 import numpy as np
 
@@ -54,6 +56,7 @@ _ROUND_HEAD = struct.Struct("<BIIII")  # kind, round, worker_id, K, L
 _RESULT_HEAD = struct.Struct("<BII")  # kind, worker_id, n
 
 _TIMEOUT = 120.0
+_REAP_GRACE = 10.0  # seconds a worker gets to exit once its end is closed
 _MAX_PAYLOAD = 2**32 - 1  # the u32 length prefix
 
 
@@ -140,18 +143,14 @@ def unpack_result(payload: bytes):
     return worker_id, labels.astype(np.int64), wcss
 
 
-
-
 def worker_entry(conn: socket.socket) -> None:
     """Worker process: SETUP, first round, then answer broadcasts until STOP."""
     worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
     features = FeatureMatrix(rows=rows)
     round_index, incoming, prev = 1, None, None
     while True:
-        message, prev = worker_round(
-            features, incoming, k, seed, round_index,
-            worker_id=worker_id, prev=prev, max_iters=kmeans_iters,
-        )
+        message, prev = worker_round(features, incoming, k, seed, round_index,
+                                     worker_id=worker_id, prev=prev, max_iters=kmeans_iters)
         _send_frame(conn, pack_round(message))
         payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
         if payload[0] == KIND_STOP:
@@ -159,6 +158,12 @@ def worker_entry(conn: socket.socket) -> None:
             return
         broadcast = unpack_round(payload)
         incoming, round_index = broadcast.centroids, broadcast.round
+
+
+def require_fork() -> None:
+    """Raise ValueError where os.fork is missing, as every worker is a forked child."""
+    if not hasattr(os, "fork"):
+        raise ValueError("transport 'socket' forks its workers and needs os.fork")
 
 
 def _fork_worker(conn: socket.socket, inherited: list[socket.socket]) -> int:
@@ -207,13 +212,11 @@ def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_roun
                     for end in (ours, theirs):
                         end.settimeout(_TIMEOUT)
                     pids.append(_fork_worker(theirs, conns))
-            _per_worker(conns, lambda wid, conn: _send_frame(
-                conn, pack_setup(wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1].rows)
-            ))
+            _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_setup(
+                wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1].rows)))
         else:
-            _per_worker(conns, lambda wid, conn: _send_frame(
-                conn, pack_round(RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))
-            ))
+            _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_round(
+                RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))))
         return _per_worker(conns, lambda wid, conn: unpack_round(_recv_kind(conn, KIND_ROUND)))
 
     def stop(wid: int, conn: socket.socket) -> Assignment:
@@ -224,13 +227,15 @@ def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_roun
         return Assignment(labels=labels, wcss=wcss)
 
     try:
-        return coordinate_rounds(
-            matrices, k, seed, max_rounds, exchange, lambda: _per_worker(conns, stop)
-        )
+        return coordinate_rounds(matrices, k, seed, max_rounds, exchange, lambda: _per_worker(conns, stop))
     except (OSError, struct.error) as exc:
         raise ProtocolError(f"socket transport failed: {exc}") from exc
     finally:
         for conn in conns:  # a worker still waiting on its end sees EOF and exits
             conn.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        deadline = time.monotonic() + _REAP_GRACE
+        for pid in pids:  # a worker still running at the deadline, hung or stopped, is killed
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                time.sleep(0.001)

@@ -226,6 +226,29 @@ class TestSocketTransport:
         assert err.count("worker: worker entry failed\n") == 3
         assert "Traceback" not in err
 
+    @needs_fork
+    def test_worker_that_stops_answering_is_named_and_killed(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids"
+
+        def hangs(conn):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(60)  # never reads SETUP and never exits on its own
+
+        monkeypatch.setattr(wire, "worker_entry", hangs)
+        monkeypatch.setattr(wire, "_TIMEOUT", 1.0)
+        monkeypatch.setattr(wire, "_REAP_GRACE", 0.5)
+        dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"worker 1\b.*timed out"):
+            run_dcc(dataset, k=2, s=2, length=20, seed=5, transport="socket")
+        assert time.monotonic() - t0 < 5.0
+        children = [int(pid) for pid in pids.read_text().split()]
+        assert len(children) == 2
+        for pid in children:  # already reaped: no zombie and no running child is left
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
     def test_socket_transport_without_fork_raises_before_the_feature_pass(self, monkeypatch):
         def refuse(levels):
             raise AssertionError("the range pass ran")
