@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "dcc": "ClusterResult ProtocolError RoundMessage derive_seed elbow_sweep"
            " master_consensus run_dcc worker_round",
-    "features": "FeatureMatrix GlobalRange build_features local_ranges reduce_global_range",
+    "features": "GlobalRange build_features local_ranges reduce_global_range",
     "kmeans": "Assignment CentroidSet init_uniform lloyd wcss_total",
-    "series": "ARCHETYPES CategoricalSeries Dataset DatasetError ShardPlan archetype_template"
-              " generate_synthetic load_dataset make_shard_plan save_dataset",
+    "series": "ARCHETYPES Dataset DatasetError ShardPlan archetype_template generate_synthetic"
+              " load_dataset make_shard_plan save_dataset",
     "summarize": "CompositionRow CompositionTable composition_table minute_proportions",
     "tda": "Landscape PersistenceDiagram landscape_closed_form landscape_from_diagram"
            " landscape_grid sublevel_persistence",

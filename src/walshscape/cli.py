@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -135,14 +136,21 @@ def _parse_k_list(text: str) -> list[int]:
     return values
 
 
-def _write_outputs(out_dir: str, files: dict[str, str | bytes]) -> None:
-    """Write all files or none: stage to temp names, then rename."""
+def _write_outputs(out_dir: str, files: dict[str, str | bytes | Callable[[str], None]]) -> None:
+    """Write all files or none: stage to temp names, then rename.
+
+    A file's content is its text, its bytes, or a callable that writes the
+    file at the temp path it is given.
+    """
     os.makedirs(out_dir, exist_ok=True)
     staged = []
     try:
         for name, content in files.items():
             tmp = os.path.join(out_dir, f".tmp-{os.getpid()}-{name}")
             staged.append((tmp, os.path.join(out_dir, name)))  # before the write, which may fail part way
+            if callable(content):
+                content(tmp)
+                continue
             with open(tmp, "wb" if isinstance(content, bytes) else "w") as fh:
                 fh.write(content)
         for tmp, final in staged:
@@ -177,16 +185,9 @@ def _proportions_csv(table: np.ndarray) -> str:
 
 def cmd_synth(args) -> None:
     dataset = generate_synthetic(args.n, args.T, args.noise, args.seed)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.join(out_dir, f".tmp-{os.getpid()}-{os.path.basename(args.out)}")
-    try:
-        save_dataset(dataset, tmp, format=args.format)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_outputs(os.path.dirname(os.path.abspath(args.out)), {
+        os.path.basename(args.out): lambda path: save_dataset(dataset, path, format=args.format),
+    })
     print(f"wrote {dataset.N} series (T={dataset.T}, J={dataset.J}) to {args.out}")
 
 

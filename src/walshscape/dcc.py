@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import (
-    DEFAULT_LANDSCAPE_LENGTH,
-    FeatureMatrix,
-    build_features,
-    local_ranges,
-    reduce_global_range,
-)
+from .features import DEFAULT_LANDSCAPE_LENGTH, build_features, local_ranges, reduce_global_range
 from .kmeans import DEFAULT_KMEANS_ITERS, Assignment, CentroidSet, init_uniform, lloyd, wcss_total
 from .series import Dataset, DatasetError, ShardPlan, make_shard_plan
 
@@ -100,7 +94,7 @@ def derive_seed(seed: int, stream: int) -> int:
 
 
 def worker_round(
-    shard_features: FeatureMatrix,
+    shard_features: np.ndarray,
     incoming: CentroidSet | None,
     k: int,
     seed: int,
@@ -111,10 +105,12 @@ def worker_round(
 ) -> tuple[RoundMessage, Assignment]:
     """Run one worker's K-means pass for one round.
 
-    Round 1 initializes centroids uniformly on the shard's feature ranges
-    with the worker's derived seed and always raises the flag; later
-    rounds start from the incoming consensus centroids and raise the flag
-    only if any label differs from the previous round's assignment.
+    shard_features is the shard's (n, L) float64 feature array, as
+    `build_features` returns it.  Round 1 initializes centroids uniformly
+    on the shard's feature ranges with the worker's derived seed and
+    always raises the flag; later rounds start from the incoming consensus
+    centroids and raise the flag only if any label differs from the
+    previous round's assignment.
 
     Returns the message for the coordinator and the retained assignment.
     """
@@ -122,16 +118,8 @@ def worker_round(
         raise ValueError("round_index starts at 1")
     if (incoming is None) != (round_index == 1):
         raise ValueError("consensus centroids are present exactly when round > 1")
-    if incoming is None:
-        start = init_uniform(shard_features, k, seed)
-    else:
-        if incoming.L != shard_features.L:
-            raise ValueError(
-                f"dimension mismatch: features have L={shard_features.L}, "
-                f"incoming centroids L={incoming.L}"
-            )
-        start = incoming
-    assignment, centroids = lloyd(shard_features, start, max_iters=max_iters)
+    start = init_uniform(shard_features, k, seed) if incoming is None else incoming
+    assignment, centroids = lloyd(shard_features, start, max_iters=max_iters)  # checks L
     if round_index == 1:
         flag = 1
     else:
@@ -169,7 +157,7 @@ def master_consensus(messages: list[RoundMessage], k: int, seed: int) -> Centroi
 
 def _prepare_features(
     dataset: Dataset, s: int, length: int, seed: int
-) -> tuple[ShardPlan, list[FeatureMatrix], float]:
+) -> tuple[ShardPlan, list[np.ndarray], float]:
     t0 = time.perf_counter()
     plan = make_shard_plan(dataset.N, s, seed)
     ranges = [local_ranges(dataset.levels[plan.shard_indices(si)]) for si in range(s)]
@@ -184,7 +172,7 @@ def _prepare_features(
 
 
 def coordinate_rounds(
-    matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int, exchange, finish
+    matrices: list[np.ndarray], k: int, seed: int, max_rounds: int, exchange, finish
 ):
     """The coordinator's round loop, shared by both transports.
 
@@ -226,7 +214,7 @@ def coordinate_rounds(
     return finish(), worker_centroids, consensus, i, converged, cycle_start, cycle_period
 
 
-def _run_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int):
+def _run_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds: int):
     """Round loop over in-process workers; returns the combined final state."""
     worker_seeds = [derive_seed(seed, wid) for wid in range(1, len(matrices) + 1)]
     retained: list[Assignment | None] = [None] * len(matrices)

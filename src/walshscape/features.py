@@ -9,10 +9,10 @@ grids and the rows would not be comparable.
 
 A landscape depends only on the min and max of the series' transform, so
 each series is transformed once: `build_features` turns the (mins, maxs)
-arrays of `local_ranges` into rows with `tda.tent_rows`.  A shard's
-(n, T) level matrix goes to `fast_wft_batch` in zero-padded chunks of at
-most _CHUNK_ROWS series, which it transforms exactly with two matrix
-products (see `wft`).
+arrays of `local_ranges` into the shard's features, a plain (n, L)
+float64 array, with `tda.tent_rows`.  A shard's (n, T) level matrix goes
+to `fast_wft_batch` in zero-padded chunks of at most _CHUNK_ROWS series,
+which it transforms exactly with two matrix products (see `wft`).
 """
 
 from __future__ import annotations
@@ -39,25 +39,6 @@ class GlobalRange:
     def __post_init__(self):
         if self.D_min > self.D_max:
             raise ValueError("D_min must not exceed D_max")
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-series landscapes of one shard, rows in the shard's series order."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.float64))
-        if self.rows.ndim != 2:
-            raise ValueError("rows must be a 2-D matrix")
-
-    @property
-    def L(self) -> int:
-        return self.rows.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +81,10 @@ def build_features(
     ranges: tuple[np.ndarray, np.ndarray],
     global_range: GlobalRange,
     length: int = DEFAULT_LANDSCAPE_LENGTH,
-) -> FeatureMatrix:
-    """Length-`length` landscape of every series on the global grid.
+) -> np.ndarray:
+    """Length-`length` landscape of every series on the global grid: the
+    shard's (n, length) float64 feature matrix, rows in the shard's series
+    order, as `tda.tent_rows` aligns it.
 
     ranges is the shard's `local_ranges` result; no transform runs here.
     Raises ValueError if any series range falls outside the global range,
@@ -113,4 +96,4 @@ def build_features(
     grid = landscape_grid(global_range.D_min, global_range.D_max, length)
     if mins.min() < global_range.D_min or maxs.max() > global_range.D_max:
         raise ValueError("series range outside the global range; recompute the reduction")
-    return FeatureMatrix(rows=tent_rows(grid, mins, maxs))
+    return tent_rows(grid, mins, maxs)

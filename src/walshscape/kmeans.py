@@ -1,11 +1,13 @@
 """Lloyd's K-means over landscape vectors with uniform-range initialization.
 
-Used both by the shard workers (points are per-series landscapes) and by
-the coordinator's consensus step (points are the workers' centroids).
-Everything is deterministic given the seed: initial centroid components
-are drawn independently from Uniform(columnwise min, columnwise max),
-distance ties resolve to the lowest cluster index, and empty clusters are
-reseeded to the point farthest from its current centroid.
+Used both by the shard workers (points are a shard's (n, L) float64
+feature array, one landscape per series) and by the coordinator's
+consensus step (points are the workers' centroids); it imports no other
+module of the package.  Everything is deterministic given the seed:
+initial centroid components are drawn independently from
+Uniform(columnwise min, columnwise max), distance ties resolve to the
+lowest cluster index, and empty clusters are reseeded to the point
+farthest from its current centroid.
 
 Every point counts once.  A pass assigns rows from the BLAS product
 f_ij = |x_i|^2 + |c_j|^2 - 2 x_i.c_j, in row blocks of at most 2^18 terms,
@@ -29,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .features import FeatureMatrix
 
 DEFAULT_KMEANS_ITERS = 1000
 
@@ -70,9 +70,7 @@ class Assignment:
 
 
 def _as_points(points) -> np.ndarray:
-    if isinstance(points, FeatureMatrix):
-        arr = points.rows
-    elif isinstance(points, CentroidSet):
+    if isinstance(points, CentroidSet):
         arr = points.centroids
     else:
         arr = np.asarray(points, dtype=np.float64)
@@ -123,7 +121,7 @@ def lloyd(
     """Alternate nearest-centroid assignment and mean updates until labels stabilize.
 
     Args:
-        points: (n, L) matrix (or FeatureMatrix) of finite feature vectors, n >= 1.
+        points: (n, L) array of finite feature vectors (a shard's features), n >= 1.
         init: starting centroids; K >= 1 and L are taken from it.
         max_iters: assignment-pass budget.
         on_iteration: optional callback receiving the WCSS of every

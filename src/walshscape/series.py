@@ -5,10 +5,10 @@ in {0, ..., J-1}, with a non-negative survey weight and free-form string
 attributes per series.  It is stored as columns: an (N, T) level matrix in
 the smallest unsigned dtype that holds J-1 (uint8 for J <= 256), an (N,)
 float64 weight vector, N ids, and one list of N values per attribute, with
-None where a series lacks it.  Every producer (the loaders, the synthetic
-generator, `Dataset.from_series`) fills these columns directly, and the
-constructor validates them once.  Ingestion order is preserved and is the
-reference ordering for cluster labels.
+None where a series lacks it.  A dataset is built only from these columns:
+every producer (the loaders, the synthetic generator) fills them directly,
+and the constructor validates them once.  Ingestion order is preserved and
+is the reference ordering for cluster labels.
 
 The CSV reader takes a file's bytes whole when every level cell is one
 digit (`_load_csv_bulk`), and otherwise runs the csv.reader row loop
@@ -27,7 +27,7 @@ import array
 import codecs
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
 
@@ -53,24 +53,6 @@ _TEMPLATE_SEGMENTS = {
     "C2": ((0.0, 0), (0.375, 1), (0.5, 2)),
     "C3": ((0.0, 0), (0.25, 1), (0.375, 2), (0.75, 1), (0.875, 0)),
 }
-
-
-@dataclass
-class CategoricalSeries:
-    """One respondent's per-minute level sequence with weight and attributes
-    (an input adapter for `Dataset.from_series`)."""
-
-    id: str
-    values: np.ndarray
-    weight: float = 1.0
-    attributes: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int64)
-        if self.values.ndim != 1:
-            raise DatasetError(f"series {self.id!r}: values must be 1-D")
-        if self.weight < 0:
-            raise DatasetError(f"series {self.id!r}: negative weight {self.weight}")
 
 
 class SeriesRow:
@@ -139,26 +121,6 @@ class Dataset:
         """Row views in ingestion order."""
         return [SeriesRow(self, r) for r in range(self.N)]
 
-    @classmethod
-    def from_series(cls, series: list[CategoricalSeries], J: int | None = None) -> "Dataset":
-        """Build a dataset from series objects, inferring J from the data if absent."""
-        if not series:
-            raise DatasetError("dataset must contain at least one series")
-        t = len(series[0].values)
-        for k, s in enumerate(series):
-            if len(s.values) != t:
-                raise DatasetError(
-                    f"inconsistent series length at row {k + 1}: expected {t}, got {len(s.values)}"
-                )
-        names = {name for s in series for name in s.attributes}
-        return cls(
-            levels=np.stack([s.values for s in series]),
-            weights=[s.weight for s in series],
-            ids=[s.id for s in series],
-            attributes={name: [s.attributes.get(name) for s in series] for name in names},
-            J=J,
-        )
-
 
 def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], J: int) -> None:
     """Raise DatasetError naming the first 1-based row with a level outside
@@ -205,16 +167,6 @@ class ShardPlan:
     @property
     def N(self) -> int:
         return len(self.order)
-
-    @property
-    def shard_of(self) -> np.ndarray:
-        """(N,) array mapping original series index to its shard."""
-        out = np.empty(self.N, dtype=np.int64)
-        start = 0
-        for s, size in enumerate(self.shard_sizes):
-            out[self.order[start : start + size]] = s
-            start += size
-        return out
 
     def shard_indices(self, s: int) -> np.ndarray:
         """Original indices of shard s, in sampled order."""

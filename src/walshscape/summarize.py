@@ -34,12 +34,15 @@ class CompositionTable:
     rows: tuple[CompositionRow, ...]
 
 
-def _check_labels(dataset: Dataset, labels) -> np.ndarray:
+def _check_labels(dataset: Dataset, labels, k: int) -> np.ndarray:
+    """labels as int64, one per series, each in 1..k; raises ValueError otherwise."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != dataset.N:
         raise ValueError(f"labels length {len(labels)} does not match dataset size {dataset.N}")
     if len(labels) and labels.min() < 1:
         raise ValueError("labels must be 1-based cluster indices")
+    if labels.max(initial=1) > k:
+        raise ValueError("label exceeds K")
     return labels
 
 
@@ -50,9 +53,7 @@ def minute_proportions(dataset: Dataset, labels, k: int) -> dict[int, np.ndarray
     matrix whose rows sum to 1.  Clusters with zero total weight are
     skipped.
     """
-    labels = _check_labels(dataset, labels)
-    if labels.max(initial=1) > k:
-        raise ValueError("label exceeds K")
+    labels = _check_labels(dataset, labels, k)
     out: dict[int, np.ndarray] = {}
     for cluster in sorted(set(labels.tolist())):  # the clusters present
         members = labels == cluster
@@ -74,9 +75,7 @@ def composition_table(dataset: Dataset, labels, k: int, attribute: str) -> Compo
     Series missing the attribute are excluded.  Raises ValueError if no
     series carries the attribute.
     """
-    labels = _check_labels(dataset, labels)
-    if labels.max(initial=1) > k:
-        raise ValueError("label exceeds K")
+    labels = _check_labels(dataset, labels, k)
     if attribute not in dataset.attributes:
         raise ValueError(f"unknown attribute {attribute!r}: no series carries it")
     counts: dict[tuple[int, str], float] = {}

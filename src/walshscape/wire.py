@@ -43,7 +43,6 @@ import numpy as np
 from .dcc import DEFAULT_KMEANS_ITERS, ProtocolError, RoundMessage, coordinate_rounds, derive_seed
 from .dcc import worker_round
 from .dcc import master_consensus  # noqa: F401  (perfbench/tracer.py wraps it by this name)
-from .features import FeatureMatrix
 from .kmeans import Assignment, CentroidSet
 
 KIND_SETUP = 1
@@ -145,8 +144,7 @@ def unpack_result(payload: bytes):
 
 def worker_entry(conn: socket.socket) -> None:
     """Worker process: SETUP, first round, then answer broadcasts until STOP."""
-    worker_id, k, seed, kmeans_iters, rows = unpack_setup(_recv_kind(conn, KIND_SETUP))
-    features = FeatureMatrix(rows=rows)
+    worker_id, k, seed, kmeans_iters, features = unpack_setup(_recv_kind(conn, KIND_SETUP))
     round_index, incoming, prev = 1, None, None
     while True:
         message, prev = worker_round(features, incoming, k, seed, round_index,
@@ -194,7 +192,7 @@ def _per_worker(conns: list[socket.socket], op) -> list:
     return out
 
 
-def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_rounds: int):
+def run_socket_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds: int):
     """Coordinator side; same return shape and values as the in-process loop.
 
     Worker wid is a forked child on its own socket pair, of which the
@@ -213,7 +211,7 @@ def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_roun
                         end.settimeout(_TIMEOUT)
                     pids.append(_fork_worker(theirs, conns))
             _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_setup(
-                wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1].rows)))
+                wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1])))
         else:
             _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_round(
                 RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))))
@@ -235,7 +233,10 @@ def run_socket_rounds(matrices: list[FeatureMatrix], k: int, seed: int, max_roun
             conn.close()
         deadline = time.monotonic() + _REAP_GRACE
         for pid in pids:  # a worker still running at the deadline, hung or stopped, is killed
-            while os.waitpid(pid, os.WNOHANG) == (0, 0):
-                if time.monotonic() > deadline:
-                    os.kill(pid, signal.SIGKILL)
-                time.sleep(0.001)
+            try:
+                while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    if time.monotonic() > deadline:
+                        os.kill(pid, signal.SIGKILL)
+                    time.sleep(0.001)
+            except (ChildProcessError, ProcessLookupError):  # reaped already: SIGCHLD is ignored
+                pass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from walshscape import ARCHETYPES, CategoricalSeries, Dataset
+from walshscape import ARCHETYPES, Dataset
 
 
 def truth_labels(dataset) -> np.ndarray:
@@ -24,18 +24,21 @@ def label_agreement(truth: np.ndarray, labels: np.ndarray) -> float:
 
 
 def toy_dataset(values_rows, weights=None, attrs=None, J=None) -> Dataset:
-    """Small dataset from a list of level rows."""
-    series = []
-    for i, row in enumerate(values_rows):
-        series.append(
-            CategoricalSeries(
-                id=f"s{i}",
-                values=np.asarray(row, dtype=np.int64),
-                weight=1.0 if weights is None else weights[i],
-                attributes={} if attrs is None else dict(attrs[i]),
-            )
-        )
-    return Dataset.from_series(series, J=J)
+    """Small dataset from a list of level rows, with ids s0, s1, ...
+
+    attrs is one dict per row; a row without an attribute holds None in
+    its column.
+    """
+    n = len(values_rows)
+    attrs = [{}] * n if attrs is None else attrs
+    names = {name for row_attrs in attrs for name in row_attrs}
+    return Dataset(
+        levels=np.asarray(values_rows, dtype=np.int64),
+        weights=np.ones(n) if weights is None else weights,
+        ids=[f"s{i}" for i in range(n)],
+        attributes={name: [row_attrs.get(name) for row_attrs in attrs] for name in names},
+        J=J,
+    )
 
 
 def traced_peak(fn, *args) -> int:

@@ -165,7 +165,7 @@ def test_c09_feature_extraction_speed_for_one_worker(rng):
     global_range = reduce_global_range([ranges])
     features = build_features(ranges, global_range, 100)
     elapsed = time.perf_counter() - t0
-    assert features.rows.shape == (2508, 100)
+    assert features.shape == (2508, 100)
     assert elapsed < 10.0
     print(f"\n[acceptance] C09 features for 2508 series at T2=2048: {elapsed:.2f} s")
 
@@ -183,6 +183,6 @@ def test_c10_total_wcss_is_additive_over_shards(planted_dataset, planted_run):
     for matrix, labels, centroids in zip(
         matrices, np.split(labels_shard_order, bounds), planted_run.worker_centroids
     ):
-        flat += ((matrix.rows - centroids.centroids[labels - 1]) ** 2).sum()
+        flat += ((matrix - centroids.centroids[labels - 1]) ** 2).sum()
     assert planted_run.wcss == pytest.approx(flat, abs=1e-9)
     print(f"\n[acceptance] C10 wcss additivity: {planted_run.wcss:.6f} == flat {flat:.6f}")

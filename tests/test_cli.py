@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import walshscape.cli as cli_module
 from walshscape import (
-    CategoricalSeries,
     Dataset,
     generate_synthetic,
     load_dataset,
@@ -60,6 +59,17 @@ class TestSynth:
             "--out", str(path), "--format", "binary",
         ) == 0
         assert load_dataset(path, format="binary").N == 12
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def writes_half(dataset, path, format):
+            with open(path, "w") as fh:
+                fh.write("id,w")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module, "save_dataset", writes_half)
+        assert run_cli("synth", "--n", "2", "--T", "8", "--out", str(tmp_path / "data.csv")) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCluster:
@@ -118,7 +128,7 @@ class TestCluster:
         ds = load_dataset(data_csv)
         ranges = local_ranges(ds.levels)
         fm = build_features(ranges, reduce_global_range([ranges]), 100)
-        grand = ((fm.rows - fm.rows.mean(axis=0)) ** 2).sum()
+        grand = ((fm - fm.mean(axis=0)) ** 2).sum()
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["wcss"] == pytest.approx(grand, rel=1e-12)
 
@@ -130,7 +140,7 @@ class TestCluster:
 
         ds = load_dataset(data_csv)
         ranges = local_ranges(ds.levels)
-        rows = build_features(ranges, reduce_global_range([ranges]), 100).rows
+        rows = build_features(ranges, reduce_global_range([ranges]), 100)
 
         def global_mean_wcss(labels):
             return sum(
@@ -269,11 +279,10 @@ class TestSummarize:
         awkward = ["a,1", 'b"2', "c\n3"]
         base = generate_synthetic(4, 32, noise=0.05, seed=1)
         data = tmp_path / "awkward.csv"
-        save_dataset(Dataset.from_series([
-            CategoricalSeries(id=f"{awkward[i % 3]}-{i}", values=s.values,
-                              attributes={"wave": "1995,x" if i % 2 else "2017"})
-            for i, s in enumerate(base.series)
-        ]), data)
+        save_dataset(Dataset(
+            base.levels, np.ones(base.N), [f"{awkward[i % 3]}-{i}" for i in range(base.N)],
+            {"wave": ["1995,x" if i % 2 else "2017" for i in range(base.N)]},
+        ), data)
         run, out = tmp_path / "run", tmp_path / "summary"
         assert run_cli("cluster", "--input", str(data), "--out", str(run), "--K", "2", "--S", "1") == 0
         with open(run / "labels.csv", newline="") as fh:

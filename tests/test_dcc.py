@@ -13,7 +13,6 @@ from walshscape import (
     Assignment,
     CentroidSet,
     DatasetError,
-    FeatureMatrix,
     ProtocolError,
     RoundMessage,
     build_features,
@@ -33,9 +32,9 @@ from walshscape import (
 from conftest import label_agreement, toy_dataset, truth_labels
 
 
-def feature_matrix(rows) -> FeatureMatrix:
-    rows = np.asarray(rows, dtype=np.float64)
-    return FeatureMatrix(rows=rows)
+def feature_matrix(rows) -> np.ndarray:
+    """A shard's features: an (n, L) float64 array."""
+    return np.asarray(rows, dtype=np.float64)
 
 
 def full_features(dataset, s_count, length, seed):
@@ -250,7 +249,7 @@ class TestRunDcc:
         )
         flat = 0.0
         for matrix, labels, centroids in zip(matrices, labels_by_shard, result.worker_centroids):
-            flat += ((matrix.rows - centroids.centroids[labels - 1]) ** 2).sum()
+            flat += ((matrix - centroids.centroids[labels - 1]) ** 2).sum()
         assert result.wcss == pytest.approx(flat, abs=1e-9)
         assert result.wcss == pytest.approx(sum(result.wcss_per_shard), abs=1e-12)
 
@@ -309,7 +308,7 @@ class TestElbowSweep:
     def test_single_cluster_single_shard_matches_grand_sse(self):
         dataset = generate_synthetic(20, 64, noise=0.1, seed=2)
         _, matrices = full_features(dataset, 1, 30, 0)
-        rows = matrices[0].rows
+        rows = matrices[0]
         grand = ((rows - rows.mean(axis=0)) ** 2).sum()
         points = elbow_sweep(dataset, [1], s=1, length=30, seed=0)
         assert points[0].wcss == pytest.approx(grand, rel=1e-12)
@@ -318,7 +317,7 @@ class TestElbowSweep:
         dataset = generate_synthetic(20, 64, noise=0.1, seed=2)
         _, matrices = full_features(dataset, 3, 30, 0)
         expected = sum(
-            ((m.rows - m.rows.mean(axis=0)) ** 2).sum() for m in matrices
+            ((m - m.mean(axis=0)) ** 2).sum() for m in matrices
         )
         points = elbow_sweep(dataset, [1], s=3, length=30, seed=0)
         assert points[0].wcss == pytest.approx(expected, rel=1e-12)

@@ -99,7 +99,7 @@ class TestBuildFeatures:
         for length in (2, 3, 40, 100):
             ranges = local_ranges(ds.levels)
             features = build_features(ranges, reduce_global_range([ranges]), length)
-            assert features.rows.ctypes.data % 64 == 0
+            assert features.ctypes.data % 64 == 0
 
     def test_extremal_series_gets_the_full_tent(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(10, 32)).tolist(), J=3)
@@ -108,16 +108,16 @@ class TestBuildFeatures:
         fm = build_features(ranges, global_range, 101)
         spread = global_range.D_max - global_range.D_min
         # the widest-range series touches at most the midpoint peak
-        assert fm.rows.max() <= spread / 2 + 1e-12
+        assert fm.max() <= spread / 2 + 1e-12
         mins, maxs = ranges
         widest = int(np.argmax(maxs - mins))
         if (mins[widest], maxs[widest]) == (global_range.D_min, global_range.D_max):
-            assert fm.rows[widest].max() == pytest.approx(spread / 2, abs=1e-12)
+            assert fm[widest].max() == pytest.approx(spread / 2, abs=1e-12)
 
     def test_degenerate_series_gives_zero_row(self):
         ds = toy_dataset([[0, 0, 0, 0], [0, 1, 2, 0]], J=3)
         fm = build_features(local_ranges(ds.levels), GlobalRange(-5.0, 5.0), 10)
-        assert np.array_equal(fm.rows[0], np.zeros(10))
+        assert np.array_equal(fm[0], np.zeros(10))
 
     def test_rows_match_diagram_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(8, 16)).tolist(), J=3)
@@ -125,7 +125,7 @@ class TestBuildFeatures:
         global_range = reduce_global_range([ranges])
         for length in (2, 7, 100):
             fm = build_features(ranges, global_range, length)
-            for row, s in zip(fm.rows, ds.series):
+            for row, s in zip(fm, ds.series):
                 diagram = sublevel_persistence(fast_wft(zero_pad(s.values)).coeffs)
                 oracle = landscape_from_diagram(
                     diagram, global_range.D_min, global_range.D_max, length
@@ -145,7 +145,7 @@ class TestBuildFeatures:
             shards = [ds.levels[plan.shard_indices(s)] for s in range(s_count)]
             ranges = [local_ranges(sh) for sh in shards]
             global_range = reduce_global_range(ranges)
-            rows = np.vstack([build_features(r, global_range, 50).rows for r in ranges])
+            rows = np.vstack([build_features(r, global_range, 50) for r in ranges])
             restored = np.empty_like(rows)
             restored[plan.order] = rows
             matrices[s_count] = restored
@@ -161,7 +161,7 @@ class TestBuildFeatures:
         (lo,), (hi,) = local_ranges(quiet)
         assert global_range.D_min < lo <= hi < global_range.D_max
         extended = build_features(local_ranges(np.vstack([ds.levels, quiet])), global_range, 40)
-        assert np.array_equal(extended.rows[:6], base.rows)
+        assert np.array_equal(extended[:6], base)
 
 
 level_matrices = st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(2, 5)).flatmap(
@@ -184,7 +184,7 @@ def test_rows_equal_the_per_series_oracle_for_any_shard_split(levels, data):
             _prepare_features(ds, s, length, seed)
         return
     plan, matrices, _ = _prepare_features(ds, s, length, seed)
-    rows = np.vstack([m.rows for m in matrices])
+    rows = np.vstack(matrices)
     for position, original in enumerate(plan.order):
         expected = landscape_closed_form(oracle[original], d_min, d_max, length).samples
         assert np.array_equal(rows[position], expected)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from walshscape import (
     ARCHETYPES,
-    CategoricalSeries,
     Dataset,
     DatasetError,
     archetype_template,
@@ -76,13 +75,9 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError, match="level out of range at row 2"):
             toy_dataset([[0, 1, 2], [0, 3, 1]], J=3)
 
-    def test_lengths_must_agree(self):
-        with pytest.raises(DatasetError, match="inconsistent series length at row 2"):
-            toy_dataset([[0, 1, 2], [0, 1]])
-
     def test_negative_weight_rejected(self):
-        with pytest.raises(DatasetError, match="negative weight"):
-            CategoricalSeries(id="x", values=np.array([0, 1]), weight=-1.0)
+        with pytest.raises(DatasetError, match="negative weight at row 1"):
+            Dataset([[0, 1]], [-1.0], ["x"], {})
 
     def test_j_inferred_from_levels(self):
         assert toy_dataset([[0, 1, 2]]).J == 3
@@ -109,12 +104,8 @@ class TestDatasetValidation:
         assert ds.weights.tolist() == [1.0, 0.5]
 
 
-# a CategoricalSeries rejects -inf itself, as a negative weight
-@pytest.mark.parametrize("source, weight", [
-    (source, weight) for source in ("csv", "binary", "from_series")
-    for weight in (float("nan"), float("inf"), float("-inf"))
-    if (source, weight) != ("from_series", float("-inf"))
-])
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("source", ["csv", "binary", "columns"])
 def test_non_finite_weight_is_rejected_with_its_row(tmp_path, source, weight):
     with pytest.raises(DatasetError, match="non-finite weight at row 2"):
         if source == "csv":
@@ -126,10 +117,7 @@ def test_non_finite_weight_is_rejected_with_its_row(tmp_path, source, weight):
             path.write_bytes(binary_file([(b"p1", 1.0, [], [0, 1]), (b"p2", weight, [], [1, 0])], t=2))
             load_dataset(path, format="binary")
         else:
-            Dataset.from_series([
-                CategoricalSeries(id="p1", values=[0, 1]),
-                CategoricalSeries(id="p2", values=[1, 0], weight=weight),
-            ])
+            Dataset([[0, 1], [1, 0]], [1.0, weight], ["p1", "p2"], {})
 
 
 class TestRoundTrips:
@@ -365,12 +353,6 @@ class TestShardPlan:
             [original[plan.shard_indices(s)] for s in range(plan.S)]
         )
         assert np.array_equal(plan.restore(concatenated), original)
-
-    def test_shard_of_agrees_with_indices(self):
-        plan = make_shard_plan(23, 4, seed=8)
-        shard_of = plan.shard_of
-        for s in range(plan.S):
-            assert (shard_of[plan.shard_indices(s)] == s).all()
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):

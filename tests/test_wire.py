@@ -1,4 +1,5 @@
 import os
+import signal
 import time
 
 import numpy as np
@@ -198,7 +199,20 @@ class TestSocketTransport:
 
     @needs_fork
     def test_worker_dead_before_reading_setup_is_named_promptly(self, monkeypatch):
-        monkeypatch.setattr(wire, "worker_entry", lambda conn: os._exit(1))
+        # only the first child dies: were both dead, either failed SETUP send could be named
+        forks, real_fork, real_entry = [], wire._fork_worker, wire.worker_entry
+
+        def counting_fork(conn, inherited):
+            forks.append(conn)  # a child sees the count as it was when it was forked
+            return real_fork(conn, inherited)
+
+        def first_child_dies(conn):
+            if len(forks) == 1:
+                os._exit(1)
+            real_entry(conn)
+
+        monkeypatch.setattr(wire, "_fork_worker", counting_fork)
+        monkeypatch.setattr(wire, "worker_entry", first_child_dies)
         dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
         t0 = time.monotonic()
         with pytest.raises(ProtocolError, match=r"worker 1\b"):
@@ -248,6 +262,19 @@ class TestSocketTransport:
         for pid in children:  # already reaped: no zombie and no running child is left
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    @needs_fork
+    def test_workers_reaped_by_the_kernel_keep_the_result(self):
+        dataset = generate_synthetic(10, 32, noise=0.05, seed=7)
+        inproc = run_dcc(dataset, k=2, s=2, length=20, seed=5)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # exited children are reaped at once
+        try:
+            socketed = run_dcc(dataset, k=2, s=2, length=20, seed=5, transport="socket")
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert np.array_equal(inproc.labels, socketed.labels)
+        assert inproc.centroids.centroids.tobytes() == socketed.centroids.centroids.tobytes()
+        assert (inproc.wcss_per_shard, inproc.rounds_used) == (socketed.wcss_per_shard, socketed.rounds_used)
 
     def test_socket_transport_without_fork_raises_before_the_feature_pass(self, monkeypatch):
         def refuse(levels):
