@@ -8,12 +8,8 @@ driven only by the function's min and max.
 
 import numpy as np
 
-from walshscape import (
-    SeriesRange,
-    landscape_closed_form,
-    landscape_from_diagram,
-    sublevel_persistence,
-)
+from walshscape import landscape_from_diagram, landscape_grid, sublevel_persistence
+from walshscape.tda import tent_rows
 
 f = [0.0, 1.0, 0.5, 1.5, 0.5, 2.0]
 print("=== Sublevel persistence of a two-basin function ===")
@@ -32,11 +28,11 @@ print("computed diagram:", sorted(map(tuple, diagram.points)))
 print("\n=== The landscape only sees the dominating point ===")
 grid_lo, grid_hi, length = 0.0, 2.0, 9
 from_diagram = landscape_from_diagram(diagram, grid_lo, grid_hi, length)
-closed = landscape_closed_form(SeriesRange(min(f), max(f)), grid_lo, grid_hi, length)
+closed = tent_rows(landscape_grid(grid_lo, grid_hi, length), [min(f)], [max(f)])[0]
 print("grid:        ", np.linspace(grid_lo, grid_hi, length))
-print("from diagram:", from_diagram.samples)
-print("closed form: ", closed.samples)
-print("identical:", bool(np.max(np.abs(from_diagram.samples - closed.samples)) < 1e-12))
+print("from diagram:", from_diagram)
+print("closed form: ", closed)
+print("identical:", bool(np.max(np.abs(from_diagram - closed)) < 1e-12))
 
 print("""
 Every (birth, death) of a sublevel diagram sits inside [min f, max f],
@@ -49,4 +45,4 @@ shuffled = rng.permutation(f)
 d2 = sublevel_persistence(shuffled)
 ls2 = landscape_from_diagram(d2, grid_lo, grid_hi, length)
 print("shuffled samples:", shuffled.tolist())
-print("same landscape:", bool(np.max(np.abs(ls2.samples - closed.samples)) < 1e-12))
+print("same landscape:", bool(np.max(np.abs(ls2 - closed)) < 1e-12))

@@ -21,10 +21,8 @@ _PUBLIC = {
     "series": "ARCHETYPES Dataset DatasetError ShardPlan archetype_template generate_synthetic"
               " load_dataset make_shard_plan save_dataset",
     "summarize": "CompositionRow CompositionTable composition_table minute_proportions",
-    "tda": "Landscape PersistenceDiagram landscape_closed_form landscape_from_diagram"
-           " landscape_grid sublevel_persistence",
-    "wft": "SeriesRange WftVector fast_wft fast_wft_batch next_pow2 series_range walsh_matrix"
-           " walsh_value zero_pad",
+    "tda": "PersistenceDiagram landscape_from_diagram landscape_grid sublevel_persistence",
+    "wft": "fast_wft_batch next_pow2 walsh_matrix walsh_value",
     "cli": "",
     "wire": "",
 }

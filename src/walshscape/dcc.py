@@ -232,6 +232,16 @@ def _run_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds: int):
     return coordinate_rounds(matrices, k, seed, max_rounds, exchange, lambda: retained)
 
 
+def _check_parameters(k_list: list[int], length: int, max_rounds: int) -> None:
+    """Raise the ValueError that K, L or I would raise later, before the feature pass runs."""
+    if min(k_list) < 1:
+        raise ValueError("K must be at least 1")
+    if length < 2:
+        raise ValueError("grid needs at least two points")
+    if max_rounds < 1:
+        raise ValueError("I must be at least 1")
+
+
 def _cluster(prepared, k: int, seed: int, max_rounds: int, run_rounds) -> ClusterResult:
     """Run and time the round loop on `_prepare_features`' output; labels go back to ingestion order."""
     plan, matrices, feature_seconds = prepared
@@ -271,8 +281,7 @@ def run_dcc(
     still raised; the last state is returned either way.  transport
     "socket" forks S worker processes (see `wire`), so it needs os.fork.
     """
-    if k < 1:
-        raise ValueError("K must be at least 1")
+    _check_parameters([k], length, max_rounds)
     if transport == "inproc":
         run_rounds = _run_rounds
     elif transport == "socket":
@@ -295,5 +304,6 @@ def elbow_sweep(
     k_list = list(k_list)
     if not k_list:
         raise ValueError("K list must not be empty")
+    _check_parameters(k_list, length, max_rounds)
     prepared = _prepare_features(dataset, s, length, seed)
     return [_cluster(prepared, k, seed, max_rounds, _run_rounds) for k in k_list]

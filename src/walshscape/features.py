@@ -12,7 +12,8 @@ each series is transformed once: `build_features` turns the (mins, maxs)
 arrays of `local_ranges` into the shard's features, a plain (n, L)
 float64 array, with `tda.tent_rows`.  A shard's (n, T) level matrix goes
 to `fast_wft_batch` in zero-padded chunks of at most _CHUNK_ROWS series,
-which it transforms exactly with two matrix products (see `wft`).
+which it transforms exactly with two matrix products (see `wft`).  Both
+phases work on arrays only; one series is a one-row level matrix.
 """
 
 from __future__ import annotations

@@ -85,7 +85,11 @@ class Dataset:
     """
 
     def __init__(self, levels, weights, ids, attributes: dict, J: int | None = None):
-        levels = np.asarray(levels)
+        try:
+            levels = np.asarray(levels)
+        except ValueError:  # rows of different lengths
+            raise _row_error(levels, "series length differs from row 1",
+                             lambda row: np.shape(row) != np.shape(levels[0])) from None
         if levels.ndim != 2 or not np.issubdtype(levels.dtype, np.integer):
             raise DatasetError("levels must be an integer (N, T) matrix")
         n, t = levels.shape
@@ -96,7 +100,10 @@ class Dataset:
             raise DatasetError("J must be at least 2")
         if t == 0:
             raise DatasetError("series length T must be positive")
-        weights = np.asarray(weights, dtype=np.float64)
+        try:
+            weights = np.asarray(weights, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise _row_error(weights, "non-numeric weight", lambda w: np.float64(w).ndim > 0) from None
         if weights.shape != (n,) or len(ids) != n or any(len(c) != n for c in attributes.values()):
             raise DatasetError(f"every column must hold one value per series ({n})")
 
@@ -122,9 +129,23 @@ class Dataset:
         return [SeriesRow(self, r) for r in range(self.N)]
 
 
+def _row_error(column, message: str, is_bad) -> DatasetError:
+    """DatasetError "message at row r" for the first 1-based row r of a
+    column whose value is_bad holds for, or raises TypeError or ValueError on."""
+    for r, value in enumerate(column, start=1):
+        try:
+            bad = is_bad(value)
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            return DatasetError(f"{message} at row {r}")
+    return DatasetError(message)
+
+
 def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], J: int) -> None:
     """Raise DatasetError naming the first 1-based row with a level outside
-    [0, J), a negative or non-finite weight, or a repeated id."""
+    [0, J), a negative or non-finite weight, or an id that is not a str or
+    repeats one before it."""
     faults = []  # (0-based row, message) of the first fault of each kind
     out_of_range = levels.max(axis=1) >= J
     if np.issubdtype(levels.dtype, np.signedinteger):
@@ -137,6 +158,9 @@ def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], J: int)
         faults.append((r, "negative weight" if np.isfinite(weights[r]) else "non-finite weight"))
     seen: set[str] = set()
     for r, ident in enumerate(ids):
+        if not isinstance(ident, str):
+            faults.append((r, f"series id {ident!r} is not a string"))
+            break
         if ident in seen:
             faults.append((r, f"duplicate series id {ident!r}"))
             break

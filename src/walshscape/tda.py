@@ -12,9 +12,11 @@ Because the diagram of a sublevel filtration always contains the point
     PL(l) = max_i min(g(l) - b_i, d_i - g(l))_+
 
 reduces to the closed form min(g(l) - d_min, d_max - g(l))_+ on the grid
-g.  `tent_rows` is the one implementation of that tent: both
-`landscape_closed_form` and the feature pipeline call it.  The
-diagram-based form serves as the correctness oracle for it in the tests.
+g.  `tent_rows` is the one implementation of that tent, one row per
+(min, max) pair, and the feature pipeline calls it; one function's
+landscape is `tent_rows(landscape_grid(lo, hi, L), [f.min()], [f.max()])[0]`.
+`sublevel_persistence` and the diagram-based `landscape_from_diagram` are
+its correctness oracle in the tests.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .wft import SeriesRange
 
 
 @dataclass(frozen=True)
@@ -37,38 +37,6 @@ class PersistenceDiagram:
         if len(pts) and np.any(pts[:, 0] > pts[:, 1]):
             raise ValueError("every point must satisfy birth <= death")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def births(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def deaths(self) -> np.ndarray:
-        return self.points[:, 1]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class Landscape:
-    """First-order persistence landscape sampled on a uniform grid.
-
-    samples[l] is the landscape value at g(l) = D_min + l*(D_max-D_min)/(L-1)
-    for l = 0..L-1.  Samples are non-negative and 1-Lipschitz with respect
-    to the grid spacing.
-    """
-
-    samples: np.ndarray
-    D_min: float
-    D_max: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-
-    @property
-    def L(self) -> int:
-        return len(self.samples)
 
 
 def landscape_grid(d_min: float, d_max: float, length: int) -> np.ndarray:
@@ -171,42 +139,13 @@ def sublevel_persistence(f) -> PersistenceDiagram:
 
 def landscape_from_diagram(
     diagram: PersistenceDiagram, d_min: float, d_max: float, length: int
-) -> Landscape:
-    """First-order landscape of a diagram: max_i min(g - b_i, d_i - g)_+ on the grid.
+) -> np.ndarray:
+    """First-order landscape of a diagram: the (length,) float64 samples of
+    max_i min(g - b_i, d_i - g)_+ on the grid `landscape_grid(d_min, d_max, length)`.
 
     An empty diagram yields the all-zero landscape.
     """
     grid = landscape_grid(d_min, d_max, length)
-    if len(diagram) == 0:
-        return Landscape(samples=np.zeros(length), D_min=d_min, D_max=d_max)
-    births = diagram.births[:, None]
-    deaths = diagram.deaths[:, None]
-    tents = np.minimum(grid[None, :] - births, deaths - grid[None, :])
-    samples = np.maximum(tents.max(axis=0), 0.0)
-    return Landscape(samples=samples, D_min=d_min, D_max=d_max)
+    births, deaths = diagram.points[:, :1], diagram.points[:, 1:]
+    return np.minimum(grid - births, deaths - grid).max(axis=0, initial=0.0)
 
-
-def landscape_closed_form(
-    r: SeriesRange, d_min: float, d_max: float, length: int
-) -> Landscape:
-    """First-order landscape of a sublevel diagram directly from its value range.
-
-    Valid whenever the diagram comes from a sublevel filtration whose
-    extreme point (r.d_min, r.d_max) dominates all others:
-
-        samples[l] = min(g(l) - r.d_min, r.d_max - g(l))_+
-
-    Args:
-        r: componentwise min/max of the transformed series.
-        d_min, d_max: grid bounds; must enclose [r.d_min, r.d_max].
-        length: number of grid points (>= 2).
-
-    Raises:
-        ValueError: if the grid does not enclose the series range.
-    """
-    grid = landscape_grid(d_min, d_max, length)
-    if not (d_min <= r.d_min and r.d_max <= d_max):
-        raise ValueError(
-            f"series range [{r.d_min}, {r.d_max}] lies outside grid bounds [{d_min}, {d_max}]"
-        )
-    return Landscape(samples=tent_rows(grid, [r.d_min], [r.d_max])[0], D_min=d_min, D_max=d_max)

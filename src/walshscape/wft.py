@@ -20,7 +20,10 @@ computed in O(T2 log T2) by a butterfly: the iteration above is exactly
 the natural (Hadamard) ordered transform with bit-reversed sequency
 indexing, so we run the standard in-place butterfly and then apply the
 bit-reversal permutation.  The equivalence is validated against the
-iteration itself in the tests.
+iteration itself in the tests.  `fast_wft_batch` is the one transform: it
+takes a matrix of series already zero-padded to T2, one per row, and the
+feature pipeline keeps only each row's min and max (`features.local_ranges`).
+`walsh_value` and `walsh_matrix` are its test oracles.
 
 Integer input (category levels) takes an exact path instead.  Sylvester's
 construction H_2n = H_2 (x) H_n gives H_T2 = H_p (x) H_q for p*q = T2, so
@@ -43,43 +46,11 @@ so each sum of either product holds a +0.0 or a nonzero term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 _BLOCK_ELEMENTS = 1 << 14  # levels per pair of matrix products in fast_wft_batch
-
-
-@dataclass(frozen=True)
-class WftVector:
-    """Walsh-Fourier transform of one (zero-padded) series.
-
-    coeffs[j] is the coefficient at sequency j/T2.  T2 is the padded
-    length (the least power of two >= t_original).
-    """
-
-    coeffs: np.ndarray
-    T2: int
-    t_original: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.T2:
-            raise ValueError("coefficient length does not match T2")
-        if next_pow2(self.t_original) != self.T2:
-            raise ValueError("T2 is not the least power of two >= t_original")
-
-
-@dataclass(frozen=True)
-class SeriesRange:
-    """Componentwise minimum and maximum of one WFT vector."""
-
-    d_min: float
-    d_max: float
-
-    def __post_init__(self):
-        if self.d_min > self.d_max:
-            raise ValueError("d_min must not exceed d_max")
 
 
 def next_pow2(t: int) -> int:
@@ -192,43 +163,10 @@ def _fwht_natural(values: np.ndarray) -> np.ndarray:
     return a
 
 
-def zero_pad(values, length: int | None = None) -> np.ndarray:
-    """Zero-pad a series on the right to `length` (default: next power of two)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D series")
-    if length is None:
-        length = next_pow2(len(arr))
-    if length < len(arr) or not is_pow2(length):
-        raise ValueError("pad length must be a power of two >= series length")
-    out = np.zeros(length, dtype=np.float64)
-    out[: len(arr)] = arr
-    return out
-
-
-def fast_wft(values, t_original: int | None = None) -> WftVector:
-    """Fast Walsh-Fourier transform of an already padded series.
-
-    Args:
-        values: real sequence whose length T2 is a power of two, with
-            zero padding already applied beyond the original length.
-        t_original: pre-padding length (defaults to T2).
-
-    Returns:
-        WftVector with coeffs[j] = (1/sqrt(T2)) * sum_t values[t] * W(t, j).
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D series")
-    t2 = len(arr)
-    if not is_pow2(t2):
-        raise ValueError(f"length {t2} is not a power of two")
-    coeffs = fast_wft_batch(arr[None, :])[0]
-    return WftVector(coeffs=coeffs, T2=t2, t_original=t2 if t_original is None else t_original)
-
-
 def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise transform of an (n, T2) matrix; same math as `fast_wft`.
+    """Row-wise transform of an (n, T2) matrix of zero-padded series:
+    out[i, j] = (1/sqrt(T2)) * sum_t matrix[i, t] * W(t, j), T2 a power of
+    two.  One series x is the row of x[None].
 
     An integer matrix whose bound max|x| * T2 is below 2**53 is
     transformed exactly as (R_p H_p) X (H_q R_q) by two matrix products
@@ -262,7 +200,3 @@ def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
         del x, d  # so the next block's temporaries are not allocated beside these
     return out.reshape(matrix.shape)
 
-
-def series_range(v: WftVector) -> SeriesRange:
-    """Componentwise min and max of the WFT coefficients."""
-    return SeriesRange(d_min=float(np.min(v.coeffs)), d_max=float(np.max(v.coeffs)))

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from walshscape import (
-    SeriesRange,
     build_features,
     derive_seed,
     elbow_sweep,
-    fast_wft,
+    fast_wft_batch,
     generate_synthetic,
     init_uniform,
-    landscape_closed_form,
     landscape_from_diagram,
+    landscape_grid,
     lloyd,
     local_ranges,
     make_shard_plan,
@@ -30,6 +29,7 @@ from walshscape import (
     walsh_matrix,
 )
 from walshscape.cli import main as cli_main
+from walshscape.tda import tent_rows
 
 from conftest import label_agreement, truth_labels
 
@@ -70,10 +70,10 @@ def test_c03_fast_transform_matches_naive_product_and_parseval():
         for _ in range(200):
             x = rng.normal(size=t2)
             naive = x @ w * scale
-            assert np.max(np.abs(fast_wft(x).coeffs - naive)) < 1e-12
+            assert np.max(np.abs(fast_wft_batch(x[None])[0] - naive)) < 1e-12
     for _ in range(100):
         x = rng.normal(size=2048)
-        coeffs = fast_wft(x).coeffs
+        coeffs = fast_wft_batch(x[None])[0]
         assert np.sum(coeffs**2) == pytest.approx(np.sum(x**2), rel=1e-9)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -100,8 +100,8 @@ def test_c05_closed_form_equals_diagram_oracle():
         lo = float(f.min()) - float(rng.random())
         hi = float(f.max()) + float(rng.random()) + 1e-9
         via_diagram = landscape_from_diagram(sublevel_persistence(f), lo, hi, 100)
-        direct = landscape_closed_form(SeriesRange(float(f.min()), float(f.max())), lo, hi, 100)
-        assert np.max(np.abs(via_diagram.samples - direct.samples)) < 1e-12
+        direct = tent_rows(landscape_grid(lo, hi, 100), [float(f.min())], [float(f.max())])[0]
+        assert np.max(np.abs(via_diagram - direct)) < 1e-12
 
     # the two-basin walkthrough function and its diagram
     diagram = sublevel_persistence([0, 1, 0.5, 1.5, 0.5, 2])

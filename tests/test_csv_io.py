@@ -254,6 +254,8 @@ def test_writer_equals_csv_writer(tmp_path_factory, dataset, rows_per_block):
                  id="negative-weight"),
     pytest.param(lambda rows: setattr(rows[2], "weight", float("nan")), "non-finite weight at row 3",
                  id="nan-weight"),
+    pytest.param(lambda rows: setattr(rows[2], "id", 2), "series id 2 is not a string at row 3",
+                 id="int-id"),
 ])
 def test_save_rejects_columns_its_loader_would_reject(tmp_path, fmt, edit, message):
     dataset = generate_synthetic(2, 8, 0.0, 1)

@@ -286,6 +286,23 @@ class TestRunDcc:
         with pytest.raises(ValueError, match="unknown transport 'tcp'"):
             run_dcc(dataset, k=2, s=2, transport="tcp")
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda ds: run_dcc(ds, k=2, s=2, length=1), "grid needs at least two points", id="L"),
+        pytest.param(lambda ds: run_dcc(ds, k=2, s=2, max_rounds=0), "I must be at least 1", id="I"),
+        pytest.param(lambda ds: elbow_sweep(ds, [0, 2], s=2), "K must be at least 1", id="K-sweep"),
+        pytest.param(lambda ds: elbow_sweep(ds, [2], s=2, length=1), "grid needs at least two points",
+                     id="L-sweep"),
+        pytest.param(lambda ds: elbow_sweep(ds, [2], s=2, max_rounds=0), "I must be at least 1",
+                     id="I-sweep"),
+    ])
+    def test_bad_k_l_or_i_raises_before_the_feature_pass(self, dataset, monkeypatch, call, message):
+        def refuse(levels):
+            raise AssertionError("the range pass ran")
+
+        monkeypatch.setattr(dcc_module, "local_ranges", refuse)
+        with pytest.raises(ValueError, match=message):
+            call(dataset)
+
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_rejects_round_budget_below_one(self, dataset, transport):
         for bad in (0, -1):

@@ -8,20 +8,26 @@ from walshscape import (
     DatasetError,
     GlobalRange,
     build_features,
-    fast_wft,
+    fast_wft_batch,
     generate_synthetic,
-    landscape_closed_form,
     landscape_from_diagram,
+    landscape_grid,
     local_ranges,
     make_shard_plan,
+    next_pow2,
     reduce_global_range,
-    series_range,
     sublevel_persistence,
-    zero_pad,
 )
 from walshscape.dcc import _prepare_features
+from walshscape.tda import tent_rows
 
 from conftest import toy_dataset, traced_peak
+
+
+def transform(values) -> np.ndarray:
+    """The WFT coefficients of one series, zero-padded to the next power of two."""
+    padded = np.pad(np.asarray(values, dtype=np.float64), (0, next_pow2(len(values)) - len(values)))
+    return fast_wft_batch(padded[None])[0]
 
 
 class TestLocalRanges:
@@ -38,20 +44,17 @@ class TestLocalRanges:
 
     def test_matches_per_series_composition(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(20, 24)).tolist(), J=3)
-        expected = [
-            series_range(fast_wft(zero_pad(s.values), t_original=len(s.values)))
-            for s in ds.series
-        ]
+        expected = [transform(s.values) for s in ds.series]
         mins, maxs = local_ranges(ds.levels)
-        assert np.array_equal(mins, [r.d_min for r in expected])
-        assert np.array_equal(maxs, [r.d_max for r in expected])
+        assert np.array_equal(mins, [c.min() for c in expected])
+        assert np.array_equal(maxs, [c.max() for c in expected])
 
     def test_shard_of_several_chunks_matches_the_per_series_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 4, size=(200, 50)).tolist(), J=4)
-        oracle = [series_range(fast_wft(zero_pad(s.values))) for s in ds.series]
+        oracle = [transform(s.values) for s in ds.series]
         mins, maxs = local_ranges(ds.levels)
-        assert mins.tobytes() == np.array([r.d_min for r in oracle]).tobytes()
-        assert maxs.tobytes() == np.array([r.d_max for r in oracle]).tobytes()
+        assert mins.tobytes() == np.array([c.min() for c in oracle]).tobytes()
+        assert maxs.tobytes() == np.array([c.max() for c in oracle]).tobytes()
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
@@ -126,11 +129,11 @@ class TestBuildFeatures:
         for length in (2, 7, 100):
             fm = build_features(ranges, global_range, length)
             for row, s in zip(fm, ds.series):
-                diagram = sublevel_persistence(fast_wft(zero_pad(s.values)).coeffs)
+                diagram = sublevel_persistence(transform(s.values))
                 oracle = landscape_from_diagram(
                     diagram, global_range.D_min, global_range.D_max, length
                 )
-                assert np.max(np.abs(row - oracle.samples)) < 1e-12
+                assert np.max(np.abs(row - oracle)) < 1e-12
 
     def test_stale_global_range_detected(self):
         ds = toy_dataset([[0, 2, 1, 2]], J=3)
@@ -176,9 +179,9 @@ def test_rows_equal_the_per_series_oracle_for_any_shard_split(levels, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     length = data.draw(st.integers(2, 30), label="L")
     ds = toy_dataset(levels.tolist(), J=5)
-    oracle = [series_range(fast_wft(zero_pad(v))) for v in levels]
-    d_min = min(r.d_min for r in oracle)
-    d_max = max(r.d_max for r in oracle)
+    oracle = [transform(v) for v in levels]
+    d_min = min(c.min() for c in oracle)
+    d_max = max(c.max() for c in oracle)
     if d_min == d_max:
         with pytest.raises(DatasetError, match="same Walsh range"):
             _prepare_features(ds, s, length, seed)
@@ -186,5 +189,6 @@ def test_rows_equal_the_per_series_oracle_for_any_shard_split(levels, data):
     plan, matrices, _ = _prepare_features(ds, s, length, seed)
     rows = np.vstack(matrices)
     for position, original in enumerate(plan.order):
-        expected = landscape_closed_form(oracle[original], d_min, d_max, length).samples
+        c = oracle[original]
+        expected = tent_rows(landscape_grid(d_min, d_max, length), [c.min()], [c.max()])[0]
         assert np.array_equal(rows[position], expected)

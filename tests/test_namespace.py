@@ -38,6 +38,10 @@ def test_a_series_name_loads_only_series(statement):
     assert run_fresh(f"{statement}\nprint(json.dumps(loaded()))") == ["walshscape", "walshscape.series"]
 
 
+def test_tda_is_a_leaf_module():
+    assert run_fresh("import walshscape.tda\nprint(json.dumps(loaded()))") == ["walshscape", "walshscape.tda"]
+
+
 def test_every_public_name_is_its_home_modules_object():
     code = """
 import importlib
@@ -51,7 +55,7 @@ print(json.dumps({"homes": homes, "all": walshscape.__all__, "version": walshsca
                   "dir": dir(walshscape)}))
 """
     got = run_fresh(code)
-    assert len(got["all"]) == 45 and got["all"] == sorted(set(got["all"]))
+    assert len(got["all"]) == 38 and got["all"] == sorted(set(got["all"]))
     assert all(got["homes"][name] for name in got["all"]), [n for n, h in got["homes"].items() if not h]
     assert set(got["all"]) | {"__all__", "__version__"} <= set(got["dir"])
     assert got["version"] == "0.1.0"

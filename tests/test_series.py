@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -118,6 +119,20 @@ def test_non_finite_weight_is_rejected_with_its_row(tmp_path, source, weight):
             load_dataset(path, format="binary")
         else:
             Dataset([[0, 1], [1, 0]], [1.0, weight], ["p1", "p2"], {})
+
+
+@pytest.mark.parametrize("levels, weights, ids, message", [
+    pytest.param([[0, 1, 2], [0, 1]], [1.0, 1.0], ["a", "b"], "series length differs from row 1 at row 2",
+                 id="short-row"),
+    pytest.param([[0, 1], [1, 0], [0, [1]]], [1.0] * 3, ["a", "b", "c"],
+                 "series length differs from row 1 at row 3", id="nested-row"),
+    pytest.param([[0, 1], [1, 0]], ["x", 1.0], ["a", "b"], "non-numeric weight at row 1", id="text-weight"),
+    pytest.param([[0, 1], [1, 0]], [1.0, [2.0]], ["a", "b"], "non-numeric weight at row 2", id="list-weight"),
+    pytest.param([[0, 1], [1, 0]], [1.0, 1.0], ["a", 2], "series id 2 is not a string at row 2", id="int-id"),
+])
+def test_malformed_columns_are_rejected_with_their_row(levels, weights, ids, message):
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        Dataset(levels, weights, ids, {})
 
 
 class TestRoundTrips:

@@ -7,16 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walshscape import wft as wft_module
-from walshscape import (
-    SeriesRange,
-    fast_wft,
-    fast_wft_batch,
-    next_pow2,
-    series_range,
-    walsh_matrix,
-    walsh_value,
-    zero_pad,
-)
+from walshscape import fast_wft_batch, local_ranges, next_pow2, walsh_matrix, walsh_value
 
 from conftest import traced_peak
 
@@ -92,23 +83,23 @@ class TestWalshValue:
 class TestFastWft:
     def test_constant_pair(self):
         c = 3.7
-        v = fast_wft(np.array([c, c]))
-        assert v.coeffs == pytest.approx([c * math.sqrt(2), 0.0], abs=1e-15)
+        coeffs = fast_wft_batch(np.array([[c, c]]))[0]
+        assert coeffs == pytest.approx([c * math.sqrt(2), 0.0], abs=1e-15)
 
     def test_zeros_stay_zeros(self):
-        assert np.array_equal(fast_wft(np.zeros(16)).coeffs, np.zeros(16))
+        assert np.array_equal(fast_wft_batch(np.zeros((1, 16)))[0], np.zeros(16))
 
     @pytest.mark.parametrize("t2", POW2_SIZES)
     def test_matches_naive_matrix_product(self, t2, rng):
         for _ in range(50):
             x = rng.normal(size=t2)
-            assert np.max(np.abs(fast_wft(x).coeffs - naive_wft(x))) < 1e-12
+            assert np.max(np.abs(fast_wft_batch(x[None])[0] - naive_wft(x))) < 1e-12
 
     def test_batch_matches_per_row(self, rng):
         m = rng.normal(size=(7, 64))
         batch = fast_wft_batch(m)
         for i in range(7):
-            assert np.array_equal(batch[i], fast_wft(m[i]).coeffs)
+            assert np.array_equal(batch[i], fast_wft_batch(m[i][None])[0])
 
     @pytest.mark.parametrize("t2", POW2_SIZES)
     def test_butterfly_result_is_c_ordered(self, t2, rng):
@@ -124,23 +115,19 @@ class TestFastWft:
     def test_parseval_at_full_day_length(self, rng):
         for _ in range(20):
             x = rng.normal(size=2048)
-            coeffs = fast_wft(x).coeffs
+            coeffs = fast_wft_batch(x[None])[0]
             assert np.sum(coeffs**2) == pytest.approx(np.sum(x**2), rel=1e-9)
 
     def test_linearity(self, rng):
         x, y = rng.normal(size=128), rng.normal(size=128)
         a, b = 2.5, -1.25
-        combined = fast_wft(a * x + b * y).coeffs
-        split = a * fast_wft(x).coeffs + b * fast_wft(y).coeffs
+        combined = fast_wft_batch((a * x + b * y)[None])[0]
+        split = a * fast_wft_batch(x[None])[0] + b * fast_wft_batch(y[None])[0]
         assert np.max(np.abs(combined - split)) < 1e-9
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            fast_wft(np.zeros(12))
-
-    def test_t_original_recorded(self):
-        v = fast_wft(zero_pad(np.ones(5)), t_original=5)
-        assert v.T2 == 8 and v.t_original == 5
+            fast_wft_batch(np.zeros((1, 12)))
 
     def test_runtime_scales_subquadratically(self, rng):
         # O(n log n) smoke check: ~2.5x per doubling in aggregate across
@@ -148,12 +135,12 @@ class TestFastWft:
         sizes = list(range(10, 17))
         best = {}
         for p in sizes:
-            x = rng.normal(size=1 << p)
-            fast_wft(x)  # warm caches
+            x = rng.normal(size=(1, 1 << p))
+            fast_wft_batch(x)  # warm caches
             timings = []
             for _ in range(9):
                 t0 = time.perf_counter()
-                fast_wft(x)
+                fast_wft_batch(x)
                 timings.append(time.perf_counter() - t0)
             best[p] = min(timings)
         assert best[16] / best[10] <= 2.5**6
@@ -241,33 +228,21 @@ class TestIntegerPath:
         assert out.tobytes() == np.full((1, 4), -(2.0**62)).tobytes()
 
 
-class TestZeroPad:
-    def test_pads_to_next_power(self):
-        padded = zero_pad([1.0, 2.0, 3.0])
-        assert np.array_equal(padded, [1.0, 2.0, 3.0, 0.0])
-
-    def test_explicit_length(self):
-        assert len(zero_pad([1.0], 8)) == 8
-
-    def test_rejects_short_target(self):
-        with pytest.raises(ValueError):
-            zero_pad([1.0, 2.0, 3.0], 2)
-
-
 class TestSeriesRange:
+    """The (min, max) of a series' coefficients, as `local_ranges` takes them."""
+
     def test_componentwise_extremes(self):
-        v = fast_wft(np.zeros(4))
-        object.__setattr__(v, "coeffs", np.array([3.0, 0.0, -1.0, 0.0]))
-        assert series_range(v) == SeriesRange(-1.0, 3.0)
+        # the transform is its own inverse, so these levels have coefficients [3, 0, -1, 0]
+        levels = fast_wft_batch(np.array([[3.0, 0.0, -1.0, 0.0]]))
+        assert np.array_equal(fast_wft_batch(levels), [[3.0, 0.0, -1.0, 0.0]])
+        mins, maxs = local_ranges(levels)
+        assert (mins.tolist(), maxs.tolist()) == ([-1.0], [3.0])
 
     def test_constant_series(self):
         c = 2.0
-        r = series_range(fast_wft(np.array([c, c])))
-        assert r.d_min == 0.0 and r.d_max == pytest.approx(c * math.sqrt(2))
+        coeffs = fast_wft_batch(np.array([[c, c]]))[0]
+        assert coeffs.min() == 0.0 and coeffs.max() == pytest.approx(c * math.sqrt(2))
 
     def test_all_zero(self):
-        assert series_range(fast_wft(np.zeros(8))) == SeriesRange(0.0, 0.0)
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            SeriesRange(1.0, 0.0)
+        coeffs = fast_wft_batch(np.zeros((1, 8)))[0]
+        assert coeffs.min() == coeffs.max() == 0.0
