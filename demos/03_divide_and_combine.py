@@ -73,5 +73,6 @@ for cluster, table in proportions.items():
 
 composition = composition_table(dataset, result.labels, k=3, attribute="truth")
 print("\nweighted composition by planted archetype (share within archetype):")
-for row in composition.rows:
-    print(f"  cluster {row.cluster} x {row.value}: {row.share_within_value:.3f}")
+for cluster, value, share in zip(composition["clusters"], composition["values"],
+                                 composition["share_within_value"]):
+    print(f"  cluster {cluster} x {value}: {share:.3f}")

@@ -20,7 +20,7 @@ _PUBLIC = {
     "kmeans": "Assignment CentroidSet init_uniform lloyd wcss_total",
     "series": "ARCHETYPES Dataset DatasetError ShardPlan archetype_template generate_synthetic"
               " load_dataset make_shard_plan save_dataset",
-    "summarize": "CompositionRow CompositionTable composition_table minute_proportions",
+    "summarize": "composition_table minute_proportions",
     "tda": "PersistenceDiagram landscape_from_diagram landscape_grid sublevel_persistence",
     "wft": "fast_wft_batch next_pow2 walsh_matrix walsh_value",
     "cli": "",

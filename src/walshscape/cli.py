@@ -172,15 +172,16 @@ def _csv_text(rows) -> str:
 
 
 def _centroid_csv(matrix: np.ndarray) -> str:
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix) + "\n"
+    """A float matrix as CSV: one line per row, each value as %.17g."""
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in matrix.tolist())
 
 
 def _proportions_csv(table: np.ndarray) -> str:
     """A (T, J) proportions table as CSV: a minute column, then each level's share as %.17g."""
     t, j = table.shape
-    row = "%d," + ",".join(["%.17g"] * j) + "\n"
     header = "minute," + ",".join(f"level_{level}" for level in range(j)) + "\n"
-    return header + "".join(row % values for values in zip(range(t), *table.T.tolist()))
+    return header + _centroid_csv(np.column_stack((np.arange(t), table)))
 
 
 def cmd_synth(args) -> None:
@@ -328,15 +329,15 @@ def cmd_summarize(args) -> None:
         files[f"proportions_{_title(names, cluster)}.csv"] = _proportions_csv(table)
 
     for attribute in [a for a in args.attributes.split(",") if a.strip()]:
-        comp = composition_table(dataset, labels, k, attribute)
-        body = _csv_text([
+        table = composition_table(dataset, labels, k, attribute)
+        rows = zip(table["clusters"].tolist(), table["values"], table["weighted_count"].tolist(),
+                   table["share_within_value"].tolist(), table["share_within_cluster"].tolist())
+        files[f"composition_{attribute}.csv"] = _csv_text([
             ("cluster", "cluster_name", "value", "weighted_count", "share_within_value",
              "share_within_cluster"),
-            *((row.cluster, _title(names, row.cluster), row.value, f"{row.weighted_count:.17g}",
-               f"{row.share_within_value:.17g}", f"{row.share_within_cluster:.17g}")
-              for row in comp.rows),
+            *((cluster, _title(names, cluster), value, *(f"{x:.17g}" for x in shares))
+              for cluster, value, *shares in rows),
         ])
-        files[f"composition_{attribute}.csv"] = body
 
     _write_outputs(args.out, files)
     print(f"wrote {len(files)} summary files to {args.out}")

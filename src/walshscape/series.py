@@ -81,7 +81,7 @@ class Dataset:
     J is inferred as max(level) + 1, at least 2, when None.  Attribute names
     that no series carries are dropped.  Raises DatasetError naming the first
     1-based row with a level outside [0, J), a negative or non-finite weight,
-    or a repeated id.
+    a repeated id, or an id or attribute value that is not a string.
     """
 
     def __init__(self, levels, weights, ids, attributes: dict, J: int | None = None):
@@ -107,7 +107,7 @@ class Dataset:
         if weights.shape != (n,) or len(ids) != n or any(len(c) != n for c in attributes.values()):
             raise DatasetError(f"every column must hold one value per series ({n})")
 
-        _check_rows(levels, weights, ids, J)
+        _check_rows(levels, weights, ids, attributes, J)
         self.levels = levels.astype(np.min_scalar_type(J - 1), copy=False)
         self.weights = weights
         self.ids = list(ids)
@@ -142,10 +142,12 @@ def _row_error(column, message: str, is_bad) -> DatasetError:
     return DatasetError(message)
 
 
-def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], J: int) -> None:
+def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], attributes: dict,
+                J: int) -> None:
     """Raise DatasetError naming the first 1-based row with a level outside
-    [0, J), a negative or non-finite weight, or an id that is not a str or
-    repeats one before it."""
+    [0, J), a negative or non-finite weight, an id that is not a str or
+    repeats one before it, or an attribute value that is neither a str nor
+    None; or naming an attribute whose name is not a str."""
     faults = []  # (0-based row, message) of the first fault of each kind
     out_of_range = levels.max(axis=1) >= J
     if np.issubdtype(levels.dtype, np.signedinteger):
@@ -165,6 +167,14 @@ def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], J: int)
             faults.append((r, f"duplicate series id {ident!r}"))
             break
         seen.add(ident)
+    for name, column in attributes.items():
+        if not isinstance(name, str):
+            raise DatasetError(f"attribute name {name!r} is not a string")
+        if set(map(type, column)) <= {str, type(None)}:  # a row scan only when some type is off
+            continue
+        r = next((r for r, value in enumerate(column) if not isinstance(value, (str, type(None)))), None)
+        if r is not None:  # None: every value is a str subclass or None
+            faults.append((r, f"attribute {name!r} value {column[r]!r} is not a string"))
     if faults:
         r, message = min(faults)
         raise DatasetError(f"{message} at row {r + 1}")
@@ -275,10 +285,10 @@ def generate_synthetic(n_per_archetype: int, t: int, noise: float, seed: int) ->
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
     """Write a dataset in the canonical CSV or the length-prefixed binary format.
 
-    The columns are validated first, so ids and weights set through
-    `Dataset.series` cannot write a file that `load_dataset` rejects.
+    The columns are validated first, so ids, weights and attribute values
+    set after construction cannot write a file that `load_dataset` rejects.
     """
-    _check_rows(dataset.levels, dataset.weights, dataset.ids, dataset.J)
+    _check_rows(dataset.levels, dataset.weights, dataset.ids, dataset.attributes, dataset.J)
     if format == "csv":
         _save_csv(dataset, path)
     elif format == "binary":

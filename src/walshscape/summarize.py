@@ -10,35 +10,19 @@ emitted because either can be the quantity of interest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .series import Dataset
 
 
-@dataclass(frozen=True)
-class CompositionRow:
-    cluster: int
-    value: str
-    weighted_count: float
-    share_within_value: float
-    share_within_cluster: float
-
-
-@dataclass(frozen=True)
-class CompositionTable:
-    """Weighted cross-tabulation of clusters against one attribute."""
-
-    attribute: str
-    rows: tuple[CompositionRow, ...]
-
-
 def _check_labels(dataset: Dataset, labels, k: int) -> np.ndarray:
     """labels as int64, one per series, each in 1..k; raises ValueError otherwise."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if len(labels) != dataset.N:
         raise ValueError(f"labels length {len(labels)} does not match dataset size {dataset.N}")
+    if not np.issubdtype(labels.dtype, np.integer):  # bool is not an integer dtype
+        raise ValueError("labels must be integers")
+    labels = labels.astype(np.int64, copy=False)
     if len(labels) and labels.min() < 1:
         raise ValueError("labels must be 1-based cluster indices")
     if labels.max(initial=1) > k:
@@ -69,35 +53,39 @@ def minute_proportions(dataset: Dataset, labels, k: int) -> dict[int, np.ndarray
     return out
 
 
-def composition_table(dataset: Dataset, labels, k: int, attribute: str) -> CompositionTable:
-    """Weighted composition of clusters by one attribute.
+def composition_table(dataset: Dataset, labels, k: int, attribute: str) -> dict:
+    """Weighted composition of clusters by one attribute, as five aligned columns.
 
-    Series missing the attribute are excluded.  Raises ValueError if no
-    series carries the attribute.
+    One entry per (cluster, value) pair that occurs, zero-weight pairs
+    included, sorted by cluster and then by value: "clusters" (int64),
+    "values" (a list of str), and the float64 "weighted_count",
+    "share_within_value" and "share_within_cluster" (0.0 where the total
+    is 0.0).  Series missing the attribute are excluded.  Raises
+    ValueError if no series carries the attribute.
     """
     labels = _check_labels(dataset, labels, k)
     if attribute not in dataset.attributes:
         raise ValueError(f"unknown attribute {attribute!r}: no series carries it")
-    counts: dict[tuple[int, str], float] = {}
-    value_totals: dict[str, float] = {}
-    cluster_totals: dict[int, float] = {}
     column = dataset.attributes[attribute]
-    for value, label, weight in zip(column, labels.tolist(), dataset.weights.tolist()):
-        if value is None:
-            continue
-        key = (label, value)
-        counts[key] = counts.get(key, 0.0) + weight
-        value_totals[value] = value_totals.get(value, 0.0) + weight
-        cluster_totals[label] = cluster_totals.get(label, 0.0) + weight
-    rows = []
-    for (cluster, value), count in sorted(counts.items()):
-        rows.append(
-            CompositionRow(
-                cluster=cluster,
-                value=value,
-                weighted_count=count,
-                share_within_value=count / value_totals[value] if value_totals[value] else 0.0,
-                share_within_cluster=count / cluster_totals[cluster] if cluster_totals[cluster] else 0.0,
-            )
-        )
-    return CompositionTable(attribute=attribute, rows=tuple(rows))
+    values = sorted(set(column) - {None})  # as Python str: a numpy <U array would drop trailing NULs
+    code = {value: i for i, value in enumerate(values)} | {None: -1}
+    codes = np.fromiter(map(code.__getitem__, column), dtype=np.int64, count=len(column))
+    present = codes >= 0
+    value_codes, weights = codes[present], dataset.weights[present]
+    clusters, cluster_codes = np.unique(labels[present], return_inverse=True)
+    pairs, pair_codes = np.unique(cluster_codes * len(values) + value_codes, return_inverse=True)
+    pair_clusters, pair_values = np.divmod(pairs, len(values))
+    # bincount adds each bin's weights in row order from 0.0, the order
+    # that the composition files depend on bit for bit
+    count = np.bincount(pair_codes, weights=weights)
+    value_total = np.bincount(value_codes, weights=weights)[pair_values]
+    cluster_total = np.bincount(cluster_codes, weights=weights)[pair_clusters]
+    return {
+        "clusters": clusters[pair_clusters],
+        "values": [values[i] for i in pair_values.tolist()],
+        "weighted_count": count,
+        "share_within_value": np.divide(count, value_total, out=np.zeros_like(count),
+                                        where=value_total != 0),
+        "share_within_cluster": np.divide(count, cluster_total, out=np.zeros_like(count),
+                                          where=cluster_total != 0),
+    }

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -507,6 +508,36 @@ def test_proportions_csv_equals_the_fstring_formatting():
     for j in (2, 3, 5, 10):
         table = np.array(values * j).reshape(-1, j)
         assert _proportions_csv(table) == _fstring_proportions(table)
+
+
+def test_centroid_and_proportion_files_are_pinned(tmp_path, monkeypatch):
+    # the exact text of both %.17g files for zero, one, a tenth, a third and
+    # the smallest subnormal, with the minute column counting 0..T-1
+    values = [0.0, 1.0, 0.1, 1 / 3, 5e-324]
+    table = np.array([values[i:] + values[:i] for i in range(5)])
+    result = SimpleNamespace(labels=np.ones(3, dtype=np.int64),
+                             centroids=SimpleNamespace(centroids=np.array([values, values[::-1]])),
+                             wcss=0.0, wcss_per_shard=[0.0], rounds_used=1, converged=True,
+                             cycle_start=None, cycle_period=None, feature_seconds=0.0, kmeans_seconds=0.0)
+    monkeypatch.setattr(cli_module, "run_dcc", lambda *args, **kwargs: result)
+    monkeypatch.setattr(cli_module, "minute_proportions", lambda *args: {1: table})
+    data, run, summary = tmp_path / "data.csv", tmp_path / "run", tmp_path / "summary"
+    save_dataset(generate_synthetic(1, 8, 0.0, 1), data)
+    assert run_cli("cluster", "--input", str(data), "--K", "2", "--out", str(run)) == 0
+    assert run_cli("summarize", "--input", str(data), "--labels", str(run / "labels.csv"),
+                   "--out", str(summary)) == 0
+    assert (run / "centroids.csv").read_text() == (
+        "0,1,0.10000000000000001,0.33333333333333331,4.9406564584124654e-324\n"
+        "4.9406564584124654e-324,0.33333333333333331,0.10000000000000001,1,0\n"
+    )
+    assert (summary / "proportions_cluster1.csv").read_text() == (
+        "minute,level_0,level_1,level_2,level_3,level_4\n"
+        "0,0,1,0.10000000000000001,0.33333333333333331,4.9406564584124654e-324\n"
+        "1,1,0.10000000000000001,0.33333333333333331,4.9406564584124654e-324,0\n"
+        "2,0.10000000000000001,0.33333333333333331,4.9406564584124654e-324,0,1\n"
+        "3,0.33333333333333331,4.9406564584124654e-324,0,1,0.10000000000000001\n"
+        "4,4.9406564584124654e-324,0,1,0.10000000000000001,0.33333333333333331\n"
+    )
 
 
 def test_order_csv_equals_the_numpy_scalar_formatting(data_csv, tmp_path):

@@ -256,6 +256,10 @@ def test_writer_equals_csv_writer(tmp_path_factory, dataset, rows_per_block):
                  id="nan-weight"),
     pytest.param(lambda rows: setattr(rows[2], "id", 2), "series id 2 is not a string at row 3",
                  id="int-id"),
+    pytest.param(lambda rows: rows[0].dataset.attributes["truth"].__setitem__(4, 1),
+                 "attribute 'truth' value 1 is not a string at row 5", id="int-attribute-value"),
+    pytest.param(lambda rows: rows[0].dataset.attributes.__setitem__(7, ["x"] * 6),
+                 "attribute name 7 is not a string", id="int-attribute-name"),
 ])
 def test_save_rejects_columns_its_loader_would_reject(tmp_path, fmt, edit, message):
     dataset = generate_synthetic(2, 8, 0.0, 1)

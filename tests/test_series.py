@@ -135,6 +135,20 @@ def test_malformed_columns_are_rejected_with_their_row(levels, weights, ids, mes
         Dataset(levels, weights, ids, {})
 
 
+@pytest.mark.parametrize("attributes, message", [
+    pytest.param({"x": [1, "y"]}, "attribute 'x' value 1 is not a string at row 1", id="int-value"),
+    pytest.param({"x": ["y", None, "z"], "w": [None, "v", b"u"]},
+                 "attribute 'w' value b'u' is not a string at row 3", id="bytes-value"),
+    pytest.param({"x": ["y", None, 2.5], "w": ["v", ["u"], None]},
+                 "attribute 'w' value ['u'] is not a string at row 2", id="first-row-wins"),
+    pytest.param({3: ["y", "z", None]}, "attribute name 3 is not a string", id="int-name"),
+])
+def test_non_string_attributes_are_rejected(attributes, message):
+    n = len(next(iter(attributes.values())))
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        Dataset([[0, 1]] * n, [1.0] * n, [f"s{i}" for i in range(n)], attributes)
+
+
 class TestRoundTrips:
     @pytest.fixture
     def dataset(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from walshscape import composition_table, minute_proportions
+from walshscape import Dataset, composition_table, load_dataset, minute_proportions, save_dataset
 
 from conftest import toy_dataset
 
@@ -66,6 +66,22 @@ class TestMinuteProportions:
             minute_proportions(ds, [1, 1], k=2)
 
 
+def composition_loop(dataset, labels, attribute):
+    """The dict loop that composition_table ran before it counted by bincount:
+    ((cluster, value), count, share within value, share within cluster) rows."""
+    counts, value_totals, cluster_totals = {}, {}, {}
+    for value, label, weight in zip(dataset.attributes[attribute], labels, dataset.weights.tolist()):
+        if value is None:
+            continue
+        counts[label, value] = counts.get((label, value), 0.0) + weight
+        value_totals[value] = value_totals.get(value, 0.0) + weight
+        cluster_totals[label] = cluster_totals.get(label, 0.0) + weight
+    return [((cluster, value), count,
+             count / value_totals[value] if value_totals[value] else 0.0,
+             count / cluster_totals[cluster] if cluster_totals[cluster] else 0.0)
+            for (cluster, value), count in sorted(counts.items())]
+
+
 class TestCompositionTable:
     @pytest.fixture
     def dataset(self):
@@ -82,19 +98,19 @@ class TestCompositionTable:
 
     def test_weighted_counts(self, dataset):
         table = composition_table(dataset, [1, 2, 1, 2], k=2, attribute="wave")
-        counts = {(r.cluster, r.value): r.weighted_count for r in table.rows}
+        counts = dict(zip(zip(table["clusters"].tolist(), table["values"]), table["weighted_count"].tolist()))
         assert counts == {(1, "1995"): 1.0, (2, "1995"): 2.0, (1, "2017"): 3.0, (2, "2017"): 4.0}
 
     def test_shares_within_value_sum_to_one(self, dataset):
         table = composition_table(dataset, [1, 2, 1, 2], k=2, attribute="wave")
         for value in ("1995", "2017"):
-            total = sum(r.share_within_value for r in table.rows if r.value == value)
+            total = sum(share for v, share in zip(table["values"], table["share_within_value"]) if v == value)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_shares_within_cluster_sum_to_one(self, dataset):
         table = composition_table(dataset, [1, 2, 1, 2], k=2, attribute="wave")
         for cluster in (1, 2):
-            total = sum(r.share_within_cluster for r in table.rows if r.cluster == cluster)
+            total = table["share_within_cluster"][table["clusters"] == cluster].sum()
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_attribute_rejected(self, dataset):
@@ -107,5 +123,49 @@ class TestCompositionTable:
             attrs=[{"wave": "1995"}, {}],
         )
         table = composition_table(ds, [1, 1], k=1, attribute="wave")
-        assert len(table.rows) == 1
-        assert table.rows[0].weighted_count == 1.0
+        assert len(table["values"]) == 1
+        assert table["weighted_count"][0] == 1.0
+
+    def test_columns_are_aligned_and_typed(self, dataset):
+        table = composition_table(dataset, [1, 2, 1, 2], k=2, attribute="wave")
+        assert list(table) == ["clusters", "values", "weighted_count", "share_within_value",
+                               "share_within_cluster"]
+        assert table["clusters"].dtype == np.int64 and all(type(v) is str for v in table["values"])
+        assert all(table[key].dtype == np.float64 and len(table[key]) == 4
+                   for key in ("weighted_count", "share_within_value", "share_within_cluster"))
+
+    def test_bits_match_the_dict_loop(self, rng, tmp_path):
+        # zero weights, missing, empty, non-ASCII and NUL-holding values, and a
+        # huge label; the values pass through a binary file, which keeps NULs
+        n = 3000
+        values = [None, "", "a", "b", "b\x00", "\x00", "ü", "b\x00\x00", "1995", "Ω"]
+        weights = rng.random(n) * 10.0 ** rng.uniform(-3, 3, n)
+        weights[rng.random(n) < 0.2] = 0.0
+        weights[:7] = 0.0  # rows 0-6 hold the only row of their (cluster, value) pair
+        column = [values[i] for i in rng.integers(0, len(values), n)]
+        column[:7] = ["zero-only"] * 7
+        labels = rng.choice([1, 2, 3, 7, 10**12], n)
+        labels[:7] = 5
+        path = tmp_path / "data.bin"
+        save_dataset(Dataset(np.zeros((n, 2), dtype=np.int64), weights, [f"s{i}" for i in range(n)],
+                             {"wave": column}), path, format="binary")
+        dataset = load_dataset(path, format="binary")
+        assert dataset.attributes["wave"] == column
+        table = composition_table(dataset, labels, k=10**12, attribute="wave")
+        reference = composition_loop(dataset, labels.tolist(), "wave")
+        assert list(zip(table["clusters"].tolist(), table["values"])) == [key for key, *_ in reference]
+        for column_name, position in (("weighted_count", 1), ("share_within_value", 2),
+                                      ("share_within_cluster", 3)):
+            expected = np.array([row[position] for row in reference])
+            assert table[column_name].tobytes() == expected.tobytes(), column_name
+        zero_only = [k for k, key in enumerate(reference) if key[0] == (5, "zero-only")]
+        assert table["weighted_count"][zero_only].tolist() == [0.0]
+
+
+@pytest.mark.parametrize("labels", [[1.9, 1.2], [1.0, 2.0], [True, True]])
+@pytest.mark.parametrize("summary", [minute_proportions, composition_table])
+def test_labels_that_are_not_integers_are_rejected(summary, labels):
+    ds = toy_dataset([[0, 1], [1, 0]], attrs=[{"wave": "1995"}, {"wave": "2017"}])
+    args = (ds, labels, 2) if summary is minute_proportions else (ds, labels, 2, "wave")
+    with pytest.raises(ValueError, match="labels must be integers"):
+        summary(*args)
