@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dcc import ProtocolError, elbow_sweep, run_dcc
+from .dcc import DEFAULT_MAX_ROUNDS, ProtocolError, elbow_sweep, run_dcc
+from .features import DEFAULT_LANDSCAPE_LENGTH
 from .series import DatasetError, generate_synthetic, load_dataset, make_shard_plan, save_dataset
 from .summarize import composition_table, minute_proportions
 
@@ -88,8 +89,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--S", type=int, default=_env("S", 1), help="number of shards/workers")
-    p.add_argument("--L", type=int, default=_env("L", 100), help="landscape length")
-    p.add_argument("--I", type=int, default=_env("I", 100), help="max protocol rounds")
+    p.add_argument("--L", type=int, default=_env("L", DEFAULT_LANDSCAPE_LENGTH), help="landscape length")
+    p.add_argument("--I", type=int, default=_env("I", DEFAULT_MAX_ROUNDS), help="max protocol rounds")
     p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     p.add_argument("--transport", choices=_CHOICES["transport"], default=_env("TRANSPORT", "inproc"))
     _add_common(p)
@@ -100,8 +101,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--K", required=True, help="K values: '2,3,4' or '2-5'")
     p.add_argument("--S", type=int, default=_env("S", 1))
-    p.add_argument("--L", type=int, default=_env("L", 100))
-    p.add_argument("--I", type=int, default=_env("I", 100))
+    p.add_argument("--L", type=int, default=_env("L", DEFAULT_LANDSCAPE_LENGTH))
+    p.add_argument("--I", type=int, default=_env("I", DEFAULT_MAX_ROUNDS))
     p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     _add_common(p)
     p.set_defaults(func=cmd_elbow)
@@ -174,7 +175,7 @@ def _csv_text(rows) -> str:
 def _centroid_csv(matrix: np.ndarray) -> str:
     """A float matrix as CSV: one line per row, each value as %.17g."""
     row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    return "".join(row % tuple(values) for values in matrix.tolist())
+    return (row * len(matrix)) % tuple(matrix.ravel().tolist())
 
 
 def _proportions_csv(table: np.ndarray) -> str:
@@ -261,7 +262,9 @@ def _read_labels(path: str, dataset) -> np.ndarray:
             raise DatasetError(f"{where} has {len(row)} fields, expected 2 (id,label)")
         if row[0] != ident:
             raise DatasetError(f"{where}: id {row[0]!r} does not match dataset id {ident!r}")
-        try:
+        try:  # a sign and ASCII digits only: int() also takes '1_0', '٣' and ' 2 '
+            if not (row[1].isascii() and row[1].lstrip("+-").isdigit()):
+                raise ValueError
             labels[i] = int(row[1])
         except (ValueError, OverflowError):
             raise DatasetError(f"{where}: label {row[1]!r} is not an integer") from None
@@ -358,6 +361,9 @@ def main(argv=None) -> int:
         return EXIT_PROTOCOL
     except (DatasetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # e.g. a --T or --L too large to allocate; no output file is left
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

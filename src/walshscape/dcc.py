@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import DEFAULT_LANDSCAPE_LENGTH, build_features, local_ranges, reduce_global_range
-from .kmeans import DEFAULT_KMEANS_ITERS, Assignment, CentroidSet, init_uniform, lloyd, wcss_total
+from .kmeans import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
 from .series import Dataset, DatasetError, ShardPlan, make_shard_plan
 
 DEFAULT_MAX_ROUNDS = 100
@@ -101,7 +101,6 @@ def worker_round(
     round_index: int,
     worker_id: int = 1,
     prev: Assignment | None = None,
-    max_iters: int = DEFAULT_KMEANS_ITERS,
 ) -> tuple[RoundMessage, Assignment]:
     """Run one worker's K-means pass for one round.
 
@@ -119,7 +118,7 @@ def worker_round(
     if (incoming is None) != (round_index == 1):
         raise ValueError("consensus centroids are present exactly when round > 1")
     start = init_uniform(shard_features, k, seed) if incoming is None else incoming
-    assignment, centroids = lloyd(shard_features, start, max_iters=max_iters)  # checks L
+    assignment, centroids = lloyd(shard_features, start)  # checks L
     if round_index == 1:
         flag = 1
     else:
@@ -161,13 +160,11 @@ def _prepare_features(
     t0 = time.perf_counter()
     plan = make_shard_plan(dataset.N, s, seed)
     ranges = [local_ranges(dataset.levels[plan.shard_indices(si)]) for si in range(s)]
-    global_range = reduce_global_range(ranges)  # all-shards barrier
-    if global_range.D_min == global_range.D_max:
-        raise DatasetError(
-            f"every series has the same Walsh range [{global_range.D_min}, {global_range.D_max}], "
-            "so there is nothing to cluster"
-        )
-    matrices = [build_features(r, global_range, length) for r in ranges]
+    d_min, d_max = bounds = reduce_global_range(ranges)  # all-shards barrier
+    if d_min == d_max:
+        raise DatasetError(f"every series has the same Walsh range [{d_min}, {d_max}], "
+                           "so there is nothing to cluster")
+    matrices = [build_features(r, bounds, length) for r in ranges]
     return plan, matrices, time.perf_counter() - t0
 
 

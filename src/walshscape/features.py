@@ -18,7 +18,6 @@ phases work on arrays only; one series is a one-row level matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -28,18 +27,6 @@ from .wft import fast_wft_batch, next_pow2
 
 DEFAULT_LANDSCAPE_LENGTH = 100
 _CHUNK_ROWS = 64  # series per transform call in local_ranges
-
-
-@dataclass(frozen=True)
-class GlobalRange:
-    """Minimum and maximum WFT values across all series of the dataset."""
-
-    D_min: float
-    D_max: float
-
-    def __post_init__(self):
-        if self.D_min > self.D_max:
-            raise ValueError("D_min must not exceed D_max")
 
 
 def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,34 +54,32 @@ def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, maxs
 
 
-def reduce_global_range(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> GlobalRange:
-    """Combine per-shard (mins, maxs) arrays into the global (D_min, D_max)."""
+def reduce_global_range(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+    """Combine per-shard (mins, maxs) arrays into the global (d_min, d_max) floats."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no ranges to reduce")
-    return GlobalRange(
-        D_min=float(min(mins.min() for mins, _ in pairs)),
-        D_max=float(max(maxs.max() for _, maxs in pairs)),
-    )
+    return float(min(mins.min() for mins, _ in pairs)), float(max(maxs.max() for _, maxs in pairs))
 
 
 def build_features(
     ranges: tuple[np.ndarray, np.ndarray],
-    global_range: GlobalRange,
+    bounds: tuple[float, float],
     length: int = DEFAULT_LANDSCAPE_LENGTH,
 ) -> np.ndarray:
     """Length-`length` landscape of every series on the global grid: the
     shard's (n, length) float64 feature matrix, rows in the shard's series
     order, as `tda.tent_rows` aligns it.
 
-    ranges is the shard's `local_ranges` result; no transform runs here.
-    Raises ValueError if any series range falls outside the global range,
-    which signals a stale reduction.
+    ranges is the shard's `local_ranges` result and bounds the global
+    (d_min, d_max); no transform runs here.  Raises ValueError if a series
+    range falls outside bounds, which signals a stale reduction.
     """
     mins, maxs = ranges
+    d_min, d_max = bounds
     if not len(mins):
         raise ValueError("shard must not be empty")
-    grid = landscape_grid(global_range.D_min, global_range.D_max, length)
-    if mins.min() < global_range.D_min or maxs.max() > global_range.D_max:
+    grid = landscape_grid(d_min, d_max, length)
+    if mins.min() < d_min or maxs.max() > d_max:
         raise ValueError("series range outside the global range; recompute the reduction")
     return tent_rows(grid, mins, maxs)

@@ -176,7 +176,7 @@ def lloyd(
         counts = np.bincount(labels, minlength=len(c))
         for j in set(labels[moved].tolist()) | set(labels_prev[moved].tolist()):
             if j >= 0 and counts[j]:
-                c[j] = x[labels == j].mean(axis=0)
+                c[j] = np.add.reduce(x[labels == j], axis=0) / counts[j]  # the bits of .mean(axis=0)
         if not counts.all():
             dist_to_own = ((x - c[labels]) ** 2).sum(axis=1)
             for j in np.flatnonzero(counts == 0):

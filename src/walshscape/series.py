@@ -41,6 +41,7 @@ class DatasetError(ValueError):
 _MAGIC = b"CTS1"
 _SYNTH_ROWS = 4096  # series per random draw in generate_synthetic
 _CSV_ROWS = 1024  # series per block written by _save_csv
+_READ_CHUNK = 1 << 16  # the most one read of a binary dataset asks for
 
 ARCHETYPES = ("C1", "C2", "C3")
 
@@ -535,8 +536,11 @@ def _save_binary(dataset: Dataset, path) -> None:
             fh.write(dataset.levels[r].tobytes())  # uint8, as J <= 256
 
 
-def _read_exact(fh, n: int, rownum: int) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, rownum: int) -> bytes | bytearray:
+    # a field longer than _READ_CHUNK grows as its bytes arrive: its length prefix sizes no buffer
+    buf = fh.read(n) if n <= _READ_CHUNK else bytearray()
+    while len(buf) < n and (more := fh.read(min(n - len(buf), _READ_CHUNK))):
+        buf += more
     if len(buf) != n:
         raise DatasetError(f"malformed row {rownum}: truncated file")
     return buf

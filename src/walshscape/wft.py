@@ -25,23 +25,24 @@ takes a matrix of series already zero-padded to T2, one per row, and the
 feature pipeline keeps only each row's min and max (`features.local_ranges`).
 `walsh_value` and `walsh_matrix` are its test oracles.
 
-Integer input (category levels) takes an exact path instead.  Sylvester's
-construction H_2n = H_2 (x) H_n gives H_T2 = H_p (x) H_q for p*q = T2, so
-a row x reshaped to a (p, q) matrix X has natural-order coefficients
-Y = H_p X H_q, with Y[c, d] at index c*q + d.  Reversing the n bits of
-that index gives rev_q(d)*p + rev_p(c), so the bit-reversal permutation
-folds into the two constant factors: with R the bit-reversal permutation
-matrices, D = (R_p H_p) X (H_q R_q) holds the sequency coefficient
-e*p + c at D[c, e], and the transpose of D is the row in sequency order.
-Two BLAS products per row block then write the result with no gather.
-Every product and partial sum is an integer of magnitude at most
-max|x| * T2, which float32 holds exactly below 2**24 and float64 below
-2**53, so the coefficients are exact whatever order BLAS adds in and equal
-the butterfly's bit for bit; the division by sqrt(T2) that follows is the
-same float64 division on both paths.  A zero sum is +0.0 on both paths:
-column 0 of R_p H_p and row 0 of H_q R_q are all +1 (permuting the rows of
-H keeps its all-ones column 0, permuting the columns its all-ones row 0),
-so each sum of either product holds a +0.0 or a nonzero term.
+Integer input (category levels) whose bound max|x| * T2 is below 2**24
+takes an exact path instead; other integers run the butterfly as floats do.
+Sylvester's construction H_2n = H_2 (x) H_n gives H_T2 = H_p (x) H_q for
+p*q = T2, so a row x reshaped to a (p, q) matrix X has natural-order
+coefficients Y = H_p X H_q, with Y[c, d] at index c*q + d.  Reversing the
+n bits of that index gives rev_q(d)*p + rev_p(c), so the bit-reversal
+permutation folds into the two constant factors: with R the bit-reversal
+permutation matrices, D = (R_p H_p) X (H_q R_q) holds the sequency
+coefficient e*p + c at D[c, e], and the transpose of D is the row in
+sequency order.  Two float32 BLAS products per row block then write the
+result with no gather.  Every product and partial sum is an integer of
+magnitude at most max|x| * T2, which float32 holds exactly, so the
+coefficients are exact whatever order BLAS adds in and equal the float64
+butterfly's bit for bit; the division by sqrt(T2) that follows is the same
+float64 division on both paths.  A zero sum is +0.0 on both paths: column 0
+of R_p H_p and row 0 of H_q R_q are all +1 (permuting the rows of H keeps
+its all-ones column 0, permuting the columns its all-ones row 0), so each
+sum of either product holds a +0.0 or a nonzero term.
 """
 
 from __future__ import annotations
@@ -113,40 +114,36 @@ def _bit_reversal(n_bits: int) -> np.ndarray:
     return rev
 
 
-def _hadamard(n_bits: int, dtype) -> np.ndarray:
-    """Natural-order Hadamard matrix of order 2**n_bits, by Sylvester's construction."""
-    h2 = np.array([[1, 1], [1, -1]], dtype=dtype)
-    h = np.ones((1, 1), dtype=dtype)
+def _hadamard(n_bits: int) -> np.ndarray:
+    """Natural-order float32 Hadamard matrix of order 2**n_bits, by Sylvester's construction."""
+    h2 = np.array([[1, 1], [1, -1]], dtype=np.float32)
+    h = np.ones((1, 1), dtype=np.float32)
     for _ in range(n_bits):
         h = np.kron(h2, h)
     return h
 
 
 @lru_cache(maxsize=32)
-def _sequency_factors(n_bits: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _sequency_factors(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """(R_p H_p, H_q R_q) for T2 = 2**n_bits = p * q with p = 2**(n_bits // 2):
     the Hadamard factors with the rows of the first and the columns of the
     second in bit-reversed order (see the module docstring), both C-ordered
     (products with the F-ordered column gather took 1.4 times as long)."""
     p_bits = n_bits // 2
     q_bits = n_bits - p_bits
-    left = _hadamard(p_bits, dtype)[_bit_reversal(p_bits)]
-    right = np.ascontiguousarray(_hadamard(q_bits, dtype)[:, _bit_reversal(q_bits)])
+    left = _hadamard(p_bits)[_bit_reversal(p_bits)]
+    right = np.ascontiguousarray(_hadamard(q_bits)[:, _bit_reversal(q_bits)])
     left.setflags(write=False)
     right.setflags(write=False)
     return left, right
 
 
-def _exact_dtype(matrix: np.ndarray):
-    """float32 or float64 if it holds every partial sum of an integer
-    matrix's transform exactly, else None (also for non-integer input)."""
+def _float32_exact(matrix: np.ndarray) -> bool:
+    """Whether float32 holds every partial sum of an integer matrix's transform exactly."""
     if not np.issubdtype(matrix.dtype, np.integer):
-        return None
+        return False
     # Python ints: np.abs of int64's minimum would overflow
-    bound = max(-int(matrix.min(initial=0)), int(matrix.max(initial=0))) * matrix.shape[-1]
-    if bound < 2**24:
-        return np.float32
-    return np.float64 if bound < 2**53 else None
+    return max(-int(matrix.min(initial=0)), int(matrix.max(initial=0))) * matrix.shape[-1] < 2**24
 
 
 def _fwht_natural(values: np.ndarray) -> np.ndarray:
@@ -168,31 +165,28 @@ def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
     out[i, j] = (1/sqrt(T2)) * sum_t matrix[i, t] * W(t, j), T2 a power of
     two.  One series x is the row of x[None].
 
-    An integer matrix whose bound max|x| * T2 is below 2**53 is
-    transformed exactly as (R_p H_p) X (H_q R_q) by two matrix products
-    per block of at most _BLOCK_ELEMENTS levels, in float32 when the bound
-    is below 2**24 and in float64 otherwise (see the module docstring).
-    Its result is bit-identical to that of the same matrix as float64,
-    which, like integer input above the bound, runs the butterfly.
+    An integer matrix whose bound max|x| * T2 is below 2**24 is transformed
+    exactly as (R_p H_p) X (H_q R_q) by two float32 matrix products per
+    block of at most _BLOCK_ELEMENTS levels (see the module docstring),
+    bit-identical to the butterfly that every other matrix runs.
     """
     matrix = np.asarray(matrix)
     t2 = matrix.shape[-1]
     if not is_pow2(t2):
         raise ValueError(f"length {t2} is not a power of two")
     n_bits = t2.bit_length() - 1
-    dtype = _exact_dtype(matrix)
-    if dtype is None:
+    if not _float32_exact(matrix):
         natural = _fwht_natural(matrix)
         # np.take writes a C-ordered result; indexing with [..., rev] leaves 2-D ones F-ordered
         sequency = np.take(natural, _bit_reversal(n_bits), axis=-1)
         return np.divide(sequency, np.sqrt(t2), dtype=np.float64)
-    left, right = _sequency_factors(n_bits, dtype)
+    left, right = _sequency_factors(n_bits)
     p, q = len(left), len(right)
     rows = matrix.reshape(-1, t2)
     out = np.empty(rows.shape, dtype=np.float64)
     step, scale = max(1, _BLOCK_ELEMENTS // t2), np.sqrt(t2)
     for start in range(0, len(rows), step):
-        x = rows[start : start + step].astype(dtype).reshape(-1, p, q)
+        x = rows[start : start + step].astype(np.float32).reshape(-1, p, q)
         d = np.matmul(np.matmul(left, x), right)
         # a contiguous row slice, so the reshape is a view the division writes through
         block = out[start : start + step].reshape(-1, q, p)

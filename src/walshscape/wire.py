@@ -8,7 +8,7 @@ exchange length-prefixed binary frames (all integers little endian):
     payload  := u8 kind, body
 
     kind 1 SETUP   (coordinator -> worker)
-        u32 worker_id, u32 K, u64 seed, u32 kmeans_iters,
+        u32 worker_id, u32 K, u64 seed,
         u32 rows, u32 L, rows*L f64 feature matrix (row major)
     kind 2 ROUND   (both directions)
         u32 round, u32 worker_id, u32 K, u32 L,
@@ -19,7 +19,7 @@ exchange length-prefixed binary frames (all integers little endian):
 
 A worker computes its first round immediately after SETUP; afterwards it
 answers every ROUND broadcast with its own ROUND report until STOP, then
-sends RESULT; kmeans_iters is always `dcc.DEFAULT_KMEANS_ITERS`.  The
+sends RESULT; its Lloyd budget is `kmeans.lloyd`'s default.  The
 coordinator runs `dcc.coordinate_rounds`, as the in-process transport
 does, and doubles travel bit-exactly, so both give identical results.  A
 frame of the wrong kind or length, a payload over the u32 length prefix,
@@ -40,8 +40,7 @@ import time
 
 import numpy as np
 
-from .dcc import DEFAULT_KMEANS_ITERS, ProtocolError, RoundMessage, coordinate_rounds, derive_seed
-from .dcc import worker_round
+from .dcc import ProtocolError, RoundMessage, coordinate_rounds, derive_seed, worker_round
 from .dcc import master_consensus  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .kmeans import Assignment, CentroidSet
 
@@ -50,13 +49,14 @@ KIND_ROUND = 2
 KIND_STOP = 3
 KIND_RESULT = 4
 
-_SETUP_HEAD = struct.Struct("<BIIQIII")  # kind, worker_id, K, seed, kmeans_iters, rows, L
+_SETUP_HEAD = struct.Struct("<BIIQII")  # kind, worker_id, K, seed, rows, L
 _ROUND_HEAD = struct.Struct("<BIIII")  # kind, round, worker_id, K, L
 _RESULT_HEAD = struct.Struct("<BII")  # kind, worker_id, n
 
 _TIMEOUT = 120.0
 _REAP_GRACE = 10.0  # seconds a worker gets to exit once its end is closed
 _MAX_PAYLOAD = 2**32 - 1  # the u32 length prefix
+_RECV_CHUNK = 1 << 16  # the first receive buffer of a frame
 
 
 def _send_frame(conn: socket.socket, payload: bytes) -> None:
@@ -68,14 +68,16 @@ def _send_frame(conn: socket.socket, payload: bytes) -> None:
 
 
 def _recv_exact(conn: socket.socket, n: int) -> bytearray:
-    buf = memoryview(bytearray(n))
-    got = 0
+    # doubled only when full, so a length prefix never sizes it beyond twice what was sent
+    buf, got = bytearray(min(n, _RECV_CHUNK)), 0
     while got < n:
-        chunk = conn.recv_into(buf[got:])
+        if got == len(buf):
+            buf += bytes(min(got, n - got))
+        chunk = conn.recv_into(memoryview(buf)[got:])
         if not chunk:
             raise ProtocolError(f"connection closed after {got} of {n} bytes")
         got += chunk
-    return buf.obj
+    return buf
 
 
 def _recv_kind(conn: socket.socket, *kinds: int) -> bytearray:
@@ -98,18 +100,18 @@ def _check_size(payload: bytes, size: int) -> None:
         raise ProtocolError(f"{len(payload)}-byte frame, its header implies {size} bytes")
 
 
-def pack_setup(worker_id: int, k: int, seed: int, kmeans_iters: int, rows: np.ndarray) -> bytes:
+def pack_setup(worker_id: int, k: int, seed: int, rows: np.ndarray) -> bytes:
     n, length = rows.shape
-    head = _SETUP_HEAD.pack(KIND_SETUP, worker_id, k, seed, kmeans_iters, n, length)
+    head = _SETUP_HEAD.pack(KIND_SETUP, worker_id, k, seed, n, length)
     return head + rows.astype("<f8").tobytes()
 
 
 def unpack_setup(payload: bytes):
-    _, worker_id, k, seed, kmeans_iters, n, length = _header(_SETUP_HEAD, payload)
+    _, worker_id, k, seed, n, length = _header(_SETUP_HEAD, payload)
     _check_size(payload, _SETUP_HEAD.size + 8 * n * length)
-    # copied: rows left at payload offset 29 are misaligned and slow every Lloyd pass
+    # copied: rows left at payload offset 25 are misaligned and slow every Lloyd pass
     rows = np.frombuffer(payload, dtype="<f8", count=n * length, offset=_SETUP_HEAD.size)
-    return worker_id, k, seed, kmeans_iters, rows.reshape(n, length).astype(np.float64)
+    return worker_id, k, seed, rows.reshape(n, length).astype(np.float64)
 
 
 def pack_round(message: RoundMessage) -> bytes:
@@ -144,11 +146,11 @@ def unpack_result(payload: bytes):
 
 def worker_entry(conn: socket.socket) -> None:
     """Worker process: SETUP, first round, then answer broadcasts until STOP."""
-    worker_id, k, seed, kmeans_iters, features = unpack_setup(_recv_kind(conn, KIND_SETUP))
+    worker_id, k, seed, features = unpack_setup(_recv_kind(conn, KIND_SETUP))
     round_index, incoming, prev = 1, None, None
     while True:
         message, prev = worker_round(features, incoming, k, seed, round_index,
-                                     worker_id=worker_id, prev=prev, max_iters=kmeans_iters)
+                                     worker_id=worker_id, prev=prev)
         _send_frame(conn, pack_round(message))
         payload = _recv_kind(conn, KIND_ROUND, KIND_STOP)
         if payload[0] == KIND_STOP:
@@ -211,7 +213,7 @@ def run_socket_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds:
                         end.settimeout(_TIMEOUT)
                     pids.append(_fork_worker(theirs, conns))
             _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_setup(
-                wid, k, derive_seed(seed, wid), DEFAULT_KMEANS_ITERS, matrices[wid - 1])))
+                wid, k, derive_seed(seed, wid), matrices[wid - 1])))
         else:
             _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_round(
                 RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))))

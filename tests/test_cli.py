@@ -335,6 +335,17 @@ class TestExitCodes:
                 ) == 2
         assert not out.exists()
 
+    def test_out_of_memory_is_an_error_line(self, data_csv, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):  # as numpy raises it; nothing is allocated for real
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+        monkeypatch.setattr(cli_module, "run_dcc", exhausted)
+        out = tmp_path / "o"
+        assert run_cli("cluster", "--input", str(data_csv), "--out", str(out), "--K", "2") == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (10000000000,)\n")
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli(
             "cluster", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"),
@@ -376,6 +387,12 @@ class TestExitCodes:
             (ident, "labels file row 3 has 1 fields"),
             (f"{ident},2,extra", "labels file row 3 has 3 fields"),
             (f"{ident},two", "labels file row 3: label 'two' is not an integer"),
+            # int() takes these, but cluster never writes them
+            (f"{ident},1_0", "labels file row 3: label '1_0' is not an integer"),
+            (f"{ident},\u0663", "labels file row 3: label '\u0663' is not an integer"),
+            (f"{ident}, 2 ", "labels file row 3: label ' 2 ' is not an integer"),
+            (f"{ident},+-1", "labels file row 3: label '+-1' is not an integer"),
+            (f"{ident},-1", "labels must be 1-based cluster indices"),  # an integer, out of range
         ):
             path = tmp_path / "labels.csv"
             path.write_text("\n".join(lines[:3] + [bad_row] + lines[4:]) + "\n")

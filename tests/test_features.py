@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from walshscape import (
     DatasetError,
-    GlobalRange,
     build_features,
     fast_wft_batch,
     generate_synthetic,
@@ -72,10 +71,10 @@ class TestReduceGlobalRange:
         combined = reduce_global_range(
             [(np.array([0.0]), np.array([3.0])), (np.array([-1.0]), np.array([2.0]))]
         )
-        assert combined == GlobalRange(-1.0, 3.0)
+        assert combined == (-1.0, 3.0)
 
     def test_single_range_identity(self):
-        assert reduce_global_range([(np.array([-2.5]), np.array([4.5]))]) == GlobalRange(-2.5, 4.5)
+        assert reduce_global_range([(np.array([-2.5]), np.array([4.5]))]) == (-2.5, 4.5)
 
     def test_matches_flat_scan(self, rng):
         shards = []
@@ -87,9 +86,7 @@ class TestReduceGlobalRange:
                 shard.append((float(lo), float(hi)))
             shards.append((np.array([lo for lo, _ in shard]), np.array([hi for _, hi in shard])))
             flat.extend(shard)
-        combined = reduce_global_range(shards)
-        assert combined.D_min == min(lo for lo, _ in flat)
-        assert combined.D_max == max(hi for _, hi in flat)
+        assert reduce_global_range(shards) == (min(lo for lo, _ in flat), max(hi for _, hi in flat))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -107,38 +104,36 @@ class TestBuildFeatures:
     def test_extremal_series_gets_the_full_tent(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(10, 32)).tolist(), J=3)
         ranges = local_ranges(ds.levels)
-        global_range = reduce_global_range([ranges])
-        fm = build_features(ranges, global_range, 101)
-        spread = global_range.D_max - global_range.D_min
+        d_min, d_max = bounds = reduce_global_range([ranges])
+        fm = build_features(ranges, bounds, 101)
+        spread = d_max - d_min
         # the widest-range series touches at most the midpoint peak
         assert fm.max() <= spread / 2 + 1e-12
         mins, maxs = ranges
         widest = int(np.argmax(maxs - mins))
-        if (mins[widest], maxs[widest]) == (global_range.D_min, global_range.D_max):
+        if (mins[widest], maxs[widest]) == bounds:
             assert fm[widest].max() == pytest.approx(spread / 2, abs=1e-12)
 
     def test_degenerate_series_gives_zero_row(self):
         ds = toy_dataset([[0, 0, 0, 0], [0, 1, 2, 0]], J=3)
-        fm = build_features(local_ranges(ds.levels), GlobalRange(-5.0, 5.0), 10)
+        fm = build_features(local_ranges(ds.levels), (-5.0, 5.0), 10)
         assert np.array_equal(fm[0], np.zeros(10))
 
     def test_rows_match_diagram_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(8, 16)).tolist(), J=3)
         ranges = local_ranges(ds.levels)
-        global_range = reduce_global_range([ranges])
+        d_min, d_max = bounds = reduce_global_range([ranges])
         for length in (2, 7, 100):
-            fm = build_features(ranges, global_range, length)
+            fm = build_features(ranges, bounds, length)
             for row, s in zip(fm, ds.series):
                 diagram = sublevel_persistence(transform(s.values))
-                oracle = landscape_from_diagram(
-                    diagram, global_range.D_min, global_range.D_max, length
-                )
+                oracle = landscape_from_diagram(diagram, d_min, d_max, length)
                 assert np.max(np.abs(row - oracle)) < 1e-12
 
     def test_stale_global_range_detected(self):
         ds = toy_dataset([[0, 2, 1, 2]], J=3)
         with pytest.raises(ValueError, match="stale|outside"):
-            build_features(local_ranges(ds.levels), GlobalRange(0.0, 0.5), 10)
+            build_features(local_ranges(ds.levels), (0.0, 0.5), 10)
 
     def test_shard_split_does_not_change_features(self):
         ds = generate_synthetic(20, 64, noise=0.1, seed=11)
@@ -147,8 +142,8 @@ class TestBuildFeatures:
             plan = make_shard_plan(ds.N, s_count, seed=4)
             shards = [ds.levels[plan.shard_indices(s)] for s in range(s_count)]
             ranges = [local_ranges(sh) for sh in shards]
-            global_range = reduce_global_range(ranges)
-            rows = np.vstack([build_features(r, global_range, 50) for r in ranges])
+            bounds = reduce_global_range(ranges)
+            rows = np.vstack([build_features(r, bounds, 50) for r in ranges])
             restored = np.empty_like(rows)
             restored[plan.order] = rows
             matrices[s_count] = restored
@@ -157,13 +152,13 @@ class TestBuildFeatures:
     def test_interior_series_does_not_disturb_existing_rows(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(6, 32)).tolist(), J=3)
         ranges = local_ranges(ds.levels)
-        global_range = reduce_global_range([ranges])
-        base = build_features(ranges, global_range, 40)
+        d_min, d_max = bounds = reduce_global_range([ranges])
+        base = build_features(ranges, bounds, 40)
         # the appended series barely moves, so its range is strictly interior
         quiet = np.array([[0] * 31 + [1]])
         (lo,), (hi,) = local_ranges(quiet)
-        assert global_range.D_min < lo <= hi < global_range.D_max
-        extended = build_features(local_ranges(np.vstack([ds.levels, quiet])), global_range, 40)
+        assert d_min < lo <= hi < d_max
+        extended = build_features(local_ranges(np.vstack([ds.levels, quiet])), bounds, 40)
         assert np.array_equal(extended[:6], base)
 
 

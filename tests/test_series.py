@@ -18,7 +18,7 @@ from walshscape import (
 )
 from walshscape import series as series_module
 
-from conftest import toy_dataset
+from conftest import toy_dataset, traced_peak
 
 
 def binary_fields(rows, n=None, t=3, j=3):
@@ -211,6 +211,21 @@ class TestRoundTrips:
         path.write_bytes(content)
         with pytest.raises(DatasetError, match=message):
             load_dataset(path, format="binary")
+
+    @pytest.mark.parametrize("content", [
+        binary_file([(b"r1", 1.0, [], [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])], t=2**28),
+        b"CTS1" + struct.pack("<IIII", 1, 3, 3, 2**28) + b"r1" + bytes(8),
+    ], ids=["T", "id-length"])
+    def test_a_length_prefix_allocates_only_what_the_file_holds(self, tmp_path, content):
+        # a 2**28-byte claim followed by about 10 real bytes
+        path = tmp_path / "bad.bin"
+        path.write_bytes(content)
+
+        def load():
+            with pytest.raises(DatasetError, match="^malformed row 1: truncated file$"):
+                load_dataset(path, format="binary")
+
+        assert traced_peak(load) < 2**20
 
     @pytest.mark.parametrize("field", ["id", "key", "value"])
     def test_binary_invalid_utf8_names_its_row(self, tmp_path, field):

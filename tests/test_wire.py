@@ -1,5 +1,7 @@
 import os
 import signal
+import socket
+import struct
 import time
 
 import numpy as np
@@ -20,13 +22,15 @@ from walshscape.wire import (
     unpack_setup,
 )
 
+from conftest import traced_peak
+
 
 class TestFrames:
     def test_setup_round_trip(self, rng):
         rows = rng.normal(size=(5, 7))
-        payload = pack_setup(3, 2, 987654321012345, 1000, rows)
-        worker_id, k, seed, iters, back = unpack_setup(payload)
-        assert (worker_id, k, seed, iters) == (3, 2, 987654321012345, 1000)
+        payload = pack_setup(3, 2, 987654321012345, rows)
+        worker_id, k, seed, back = unpack_setup(payload)
+        assert (worker_id, k, seed) == (3, 2, 987654321012345)
         assert np.array_equal(back, rows)
         assert back.flags.aligned
 
@@ -57,7 +61,7 @@ class TestFrames:
 
 valid_frames = st.one_of(
     st.builds(
-        lambda n, length: (unpack_setup, pack_setup(1, 2, 3, 4, np.ones((n, length)))),
+        lambda n, length: (unpack_setup, pack_setup(1, 2, 3, np.ones((n, length)))),
         st.integers(0, 4), st.integers(0, 4),
     ),
     st.builds(
@@ -86,6 +90,18 @@ class TestMalformedFrames:
             bad = payload + data.draw(st.binary(min_size=1, max_size=16), label="extra")
         with pytest.raises(ProtocolError):
             unpack(bad)
+
+    def test_a_length_prefix_allocates_only_the_bytes_that_arrive(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:  # a 2**28-byte claim followed by 10 real bytes
+            theirs.sendall(struct.pack("<I", 2**28) + bytes([wire.KIND_ROUND]) + bytes(9))
+            theirs.shutdown(socket.SHUT_WR)
+
+            def receive():
+                with pytest.raises(ProtocolError, match="closed after 10 of 268435456 bytes"):
+                    wire._recv_kind(ours, wire.KIND_ROUND)
+
+            assert traced_peak(receive) < 2**20
 
     @pytest.mark.parametrize("unpack", [unpack_setup, unpack_round, unpack_result])
     def test_empty_frame_is_a_protocol_fault(self, unpack):
