@@ -67,7 +67,18 @@ def _check_env_choices(args) -> None:
                              f"{value!r} (choose from {allowed})")
 
 
-def _add_common(p: _Parser) -> None:
+def _add_files(p: _Parser, out_help: str, reads_input: bool = True) -> None:
+    if reads_input:
+        p.add_argument("--input", required=True, help="dataset file")
+    p.add_argument("--out", required=True, help=out_help)
+    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
+
+
+def _add_run(p: _Parser, clusters: bool = True) -> None:
+    if clusters:
+        p.add_argument("--S", type=int, default=_env("S", 1), help="number of shards/workers")
+        p.add_argument("--L", type=int, default=_env("L", DEFAULT_LANDSCAPE_LENGTH), help="landscape length")
+        p.add_argument("--I", type=int, default=_env("I", DEFAULT_MAX_ROUNDS), help="max protocol rounds")
     p.add_argument("--seed", type=int, default=_env("SEED", 0), help="master seed (default 0)")
 
 
@@ -79,41 +90,28 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="series per archetype")
     p.add_argument("--T", type=int, default=_env("T", 1440), help="minutes per series")
     p.add_argument("--noise", type=float, default=_env("NOISE", 0.05))
-    p.add_argument("--out", required=True, help="output dataset file")
-    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
-    _add_common(p)
+    _add_files(p, "output dataset file", reads_input=False)
+    _add_run(p, clusters=False)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cluster", help="cluster a dataset and write labels/centroids/metrics")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True, help="output directory")
+    _add_files(p, "output directory")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--S", type=int, default=_env("S", 1), help="number of shards/workers")
-    p.add_argument("--L", type=int, default=_env("L", DEFAULT_LANDSCAPE_LENGTH), help="landscape length")
-    p.add_argument("--I", type=int, default=_env("I", DEFAULT_MAX_ROUNDS), help="max protocol rounds")
-    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     p.add_argument("--transport", choices=_CHOICES["transport"], default=_env("TRANSPORT", "inproc"))
-    _add_common(p)
+    _add_run(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("elbow", help="sweep K and write the WCSS/timing table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True, help="output directory")
+    _add_files(p, "output directory")
     p.add_argument("--K", required=True, help="K values: '2,3,4' or '2-5'")
-    p.add_argument("--S", type=int, default=_env("S", 1))
-    p.add_argument("--L", type=int, default=_env("L", DEFAULT_LANDSCAPE_LENGTH))
-    p.add_argument("--I", type=int, default=_env("I", DEFAULT_MAX_ROUNDS))
-    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
-    _add_common(p)
+    _add_run(p)
     p.set_defaults(func=cmd_elbow)
 
     p = sub.add_parser("summarize", help="per-minute proportions and composition tables")
-    p.add_argument("--input", required=True)
+    _add_files(p, "output directory")
     p.add_argument("--labels", required=True, help="labels.csv from the cluster command")
     p.add_argument("--attributes", default="", help="comma-separated attribute names")
     p.add_argument("--cluster-names", default="", help="optional display names, e.g. '1=in home,2=night'")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
     p.set_defaults(func=cmd_summarize)
 
     return parser
@@ -137,11 +135,11 @@ def _parse_k_list(text: str) -> list[int]:
     return values
 
 
-def _write_outputs(out_dir: str, files: dict[str, str | bytes | Callable[[str], None]]) -> None:
+def _write_outputs(out_dir: str, files: dict[str, str | Callable[[str], None]]) -> None:
     """Write all files or none: stage to temp names, then rename.
 
-    A file's content is its text, its bytes, or a callable that writes the
-    file at the temp path it is given.
+    A file's content is its text, or a callable that writes the file at the
+    temp path it is given.
     """
     os.makedirs(out_dir, exist_ok=True)
     staged = []
@@ -152,7 +150,7 @@ def _write_outputs(out_dir: str, files: dict[str, str | bytes | Callable[[str], 
             if callable(content):
                 content(tmp)
                 continue
-            with open(tmp, "wb" if isinstance(content, bytes) else "w") as fh:
+            with open(tmp, "w") as fh:
                 fh.write(content)
         for tmp, final in staged:
             os.replace(tmp, final)
@@ -327,7 +325,7 @@ def cmd_summarize(args) -> None:
     k = int(labels.max(initial=1))
     _check_titles(names, k)
 
-    files: dict[str, str | bytes] = {}
+    files: dict[str, str] = {}
     for cluster, table in minute_proportions(dataset, labels, k).items():
         files[f"proportions_{_title(names, cluster)}.csv"] = _proportions_csv(table)
 

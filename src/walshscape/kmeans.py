@@ -70,17 +70,15 @@ class Assignment:
 
 
 def _as_points(points) -> np.ndarray:
-    if isinstance(points, CentroidSet):
-        arr = points.centroids
-    else:
-        arr = np.asarray(points, dtype=np.float64)
+    arr = np.asarray(points)  # an object that is no array, a CentroidSet say, is 0-D
     if arr.ndim != 2:
         raise ValueError("points must form a 2-D matrix")
     if not len(arr):
         raise ValueError("points must not be empty")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError("points must be finite")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 def init_uniform(points, k: int, seed: int) -> CentroidSet:

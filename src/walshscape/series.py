@@ -56,24 +56,17 @@ _TEMPLATE_SEGMENTS = {
 }
 
 
+@dataclass(slots=True)
 class SeriesRow:
-    """View of one dataset row; setting `id` or `weight` writes into the columns."""
+    """View of one dataset row, to set its `id` or `weight` in place in the dataset's columns."""
 
-    __slots__ = ("dataset", "row")
-
-    def __init__(self, dataset: "Dataset", row: int):
-        self.dataset, self.row = dataset, row
+    dataset: Dataset
+    row: int
 
     id = property(lambda self: self.dataset.ids[self.row],
                   lambda self, value: self.dataset.ids.__setitem__(self.row, value))
     weight = property(lambda self: float(self.dataset.weights[self.row]),
                       lambda self, value: self.dataset.weights.__setitem__(self.row, value))
-    values = property(lambda self: self.dataset.levels[self.row])
-
-    @property
-    def attributes(self) -> dict[str, str]:
-        return {name: column[self.row] for name, column in self.dataset.attributes.items()
-                if column[self.row] is not None}
 
 
 class Dataset:
@@ -126,7 +119,7 @@ class Dataset:
 
     @property
     def series(self) -> list[SeriesRow]:
-        """Row views in ingestion order."""
+        """Row views in ingestion order, to set ids and weights in place."""
         return [SeriesRow(self, r) for r in range(self.N)]
 
 

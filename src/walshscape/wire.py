@@ -25,8 +25,10 @@ does, and doubles travel bit-exactly, so both give identical results.  A
 frame of the wrong kind or length, a payload over the u32 length prefix,
 a flag byte other than 0 or 1, and a failed send or receive (a worker
 that died, or was silent for `_TIMEOUT` s) raise ProtocolError naming the
-worker: CLI exit 3.  A worker that fails or is given up on exits 1 with
-one stderr line; one still running `_REAP_GRACE` s later is killed.
+worker: CLI exit 3; replies are read in worker order after all sends, a
+failed send raised at its worker's turn, so the lowest-numbered failing
+worker is named.  A failed or abandoned worker exits 1 with one stderr
+line; one still running `_REAP_GRACE` s later is killed.
 """
 
 from __future__ import annotations
@@ -183,12 +185,21 @@ def _fork_worker(conn: socket.socket, inherited: list[socket.socket]) -> int:
         os._exit(code)
 
 
-def _per_worker(conns: list[socket.socket], op) -> list:
-    """op(wid, conn) for every connection in worker order; a failure names the worker."""
+def _exchange(conns: list[socket.socket], frames, reply) -> list:
+    """Send each worker the next payload of the iterator `frames` (built lazily, so one is alive
+    at a time), then return each reply(wid, conn) in worker order (see the module docstring)."""
+    failed = {}
+    for wid, conn in enumerate(conns, start=1):
+        try:
+            _send_frame(conn, next(frames))
+        except (OSError, ProtocolError) as exc:
+            failed[wid] = exc
     out = []
     for wid, conn in enumerate(conns, start=1):
         try:
-            out.append(op(wid, conn))
+            if wid in failed:
+                raise failed[wid]
+            out.append(reply(wid, conn))
         except (OSError, ProtocolError) as exc:
             raise ProtocolError(f"worker {wid}: {exc}") from exc
     return out
@@ -212,22 +223,20 @@ def run_socket_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds:
                     for end in (ours, theirs):
                         end.settimeout(_TIMEOUT)
                     pids.append(_fork_worker(theirs, conns))
-            _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_setup(
-                wid, k, derive_seed(seed, wid), matrices[wid - 1])))
-        else:
-            _per_worker(conns, lambda wid, conn: _send_frame(conn, pack_round(
-                RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))))
-        return _per_worker(conns, lambda wid, conn: unpack_round(_recv_kind(conn, KIND_ROUND)))
+        frames = (pack_setup(wid, k, derive_seed(seed, wid), rows) if i == 1 else
+                  pack_round(RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))
+                  for wid, rows in enumerate(matrices, start=1))
+        return _exchange(conns, frames, lambda wid, conn: unpack_round(_recv_kind(conn, KIND_ROUND)))
 
-    def stop(wid: int, conn: socket.socket) -> Assignment:
-        _send_frame(conn, struct.pack("<B", KIND_STOP))
+    def result(wid: int, conn: socket.socket) -> Assignment:
         worker_id, labels, wcss = unpack_result(_recv_kind(conn, KIND_RESULT))
         if worker_id != wid:
             raise ProtocolError(f"RESULT names worker {worker_id}")
         return Assignment(labels=labels, wcss=wcss)
 
     try:
-        return coordinate_rounds(matrices, k, seed, max_rounds, exchange, lambda: _per_worker(conns, stop))
+        return coordinate_rounds(matrices, k, seed, max_rounds, exchange,
+                                 lambda: _exchange(conns, (struct.pack("<B", KIND_STOP) for _ in conns), result))
     except (OSError, struct.error) as exc:
         raise ProtocolError(f"socket transport failed: {exc}") from exc
     finally:

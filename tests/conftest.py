@@ -10,7 +10,7 @@ from walshscape import ARCHETYPES, Dataset
 def truth_labels(dataset) -> np.ndarray:
     """Planted archetype of every series as an integer in 1..3."""
     index = {arch: i + 1 for i, arch in enumerate(ARCHETYPES)}
-    return np.array([index[s.attributes["truth"]] for s in dataset.series], dtype=np.int64)
+    return np.array([index[truth] for truth in dataset.attributes["truth"]], dtype=np.int64)
 
 
 def label_agreement(truth: np.ndarray, labels: np.ndarray) -> float:

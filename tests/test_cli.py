@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import csv
 import json
@@ -42,7 +43,7 @@ class TestSynth:
     def test_writes_expected_row_count(self, data_csv):
         ds = load_dataset(data_csv)
         assert ds.N == 120 and ds.T == 96 and ds.J == 3
-        assert all("truth" in s.attributes for s in ds.series)
+        assert None not in ds.attributes["truth"]
 
     def test_identical_flags_identical_files(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -304,6 +305,61 @@ class TestSummarize:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+
+FORMATS, TRANSPORTS = ("csv", "binary"), ("inproc", "socket")
+SHARED = {  # option: (type, default, choices, required, environment variable suffix)
+    "--input": (None, None, None, True, None),
+    "--out": (None, None, None, True, None),
+    "--format": (None, "csv", FORMATS, False, "FORMAT"),
+}
+RUN = {
+    "--S": ("int", 1, None, False, "S"),
+    "--L": ("int", 100, None, False, "L"),
+    "--I": ("int", 100, None, False, "I"),
+    "--seed": ("int", 0, None, False, "SEED"),
+}
+PINNED_FLAGS = {
+    "synth": {
+        "--n": ("int", None, None, True, None),
+        "--T": ("int", 1440, None, False, "T"),
+        "--noise": ("float", 0.05, None, False, "NOISE"),
+        "--out": SHARED["--out"], "--format": SHARED["--format"], "--seed": RUN["--seed"],
+    },
+    "cluster": {
+        **SHARED, **RUN,
+        "--K": ("int", None, None, True, None),
+        "--transport": (None, "inproc", TRANSPORTS, False, "TRANSPORT"),
+    },
+    "elbow": {**SHARED, **RUN, "--K": (None, None, None, True, None)},
+    "summarize": {
+        **SHARED,
+        "--labels": (None, None, None, True, None),
+        "--attributes": (None, "", None, False, None),
+        "--cluster-names": (None, "", None, False, None),
+    },
+}
+
+
+def test_every_command_keeps_its_pinned_flags(monkeypatch):
+    # an env-backed default reads as ("env", suffix, default), so the table pins the names too
+    monkeypatch.setattr(cli_module, "_env", lambda name, default: ("env", name, default))
+    commands = next(a for a in cli_module.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    built = {}
+    for command, parser in commands.items():
+        built[command] = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            default, env = action.default, None
+            if isinstance(default, tuple) and default[0] == "env":
+                _, env, default = default
+            (option,) = action.option_strings
+            built[command][option] = (getattr(action.type, "__name__", None), default,
+                                      None if action.choices is None else tuple(action.choices),
+                                      action.required, env)
+    assert built == PINNED_FLAGS
 
 
 class TestExitCodes:

@@ -1,0 +1,148 @@
+"""One differential property over every dataset reader and writer.
+
+For small CSV and binary files, well-formed or faulty:
+
+* the bulk CSV reader, whenever it does not decline a file (None), gives
+  the Dataset, or the DatasetError message, of the csv.reader row loop;
+* `load_dataset` gives what that reference reader gives;
+* a dataset that loads, saved as CSV and as binary, loads back equal;
+* no reader or writer raises anything but DatasetError.
+
+The files are UTF-8 text without NUL or a bare carriage return in an
+unquoted field: inputs outside that are csv.reader's or the codec's
+errors, pinned by tests/test_csv_io.py.
+"""
+
+import struct
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from walshscape import DatasetError, load_dataset, save_dataset
+from walshscape import series as series_module
+
+# a fixed profile: the same examples on every run, so tier-1 stays deterministic
+DIFFERENTIAL = settings(derandomize=True, max_examples=400, deadline=None, database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+CSV_FAULTS = ["none", "quoted head", "quoted cell", "multi-digit level", "odd level", "bad weight",
+              "bad J", "duplicate id", "row length", "mixed endings", "cut short"]
+BINARY_FAULTS = ["none", "cut", "flip", "tail", "duplicate id", "bad weight", "bad UTF-8",
+                 "repeated attribute", "level out of range", "bad J"]
+
+
+def outcome(load, path):
+    """Everything a reader yields for a file, None if it declines it, or its DatasetError text."""
+    try:
+        ds = load(path)
+    except DatasetError as exc:
+        return ("error", str(exc))
+    if ds is None:
+        return None
+    return (ds.levels.tobytes(), ds.levels.dtype, ds.levels.shape, ds.ids,
+            ds.weights.tobytes(), ds.attributes, ds.J)
+
+
+@st.composite
+def csv_files(draw):
+    """(fault, bytes) of a small dataset CSV: single-digit and unquoted, or with one fault."""
+    fault = draw(st.sampled_from(CSV_FAULTS))
+    cell = lambda pool: draw(st.sampled_from(pool))  # noqa: E731
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    with_w, with_j = fault == "bad weight" or draw(st.booleans()), draw(st.booleans())
+    attrs = draw(st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True))
+    j = cell(["2", "300", "x"] if fault == "bad J" else ["3", "10"])
+    header = ["id"] + ["w"] * with_w + ["J"] * with_j + [f"attr:{a}" for a in attrs]
+    header += [f"t{k}" for k in range(t)]
+    if fault == "quoted head":
+        header = [f'"{name}"' if draw(st.booleans()) else name for name in header]
+    rows = []
+    for r in range(n):
+        row = [f"p{r}"] + [cell(["1.0", "0.25", "2", "1e3", "-0.0"])] * with_w + [j] * with_j
+        row += [cell(["", "f", "m", "é"]) for _ in attrs] + [cell(["0", "1", "2"]) for _ in range(t)]
+        rows.append(row)
+    r, k = draw(st.integers(0, n - 1)), draw(st.integers(0, len(header) - 1))
+    if fault == "quoted cell":
+        rows[r][k] = cell(['"q,1"', '"x""y"', '"l\nm"', '"l\r\nm"', '"1"'])
+    elif fault == "multi-digit level":
+        rows[r][-1] = cell(["10", "12", "255", "300"])
+    elif fault == "odd level":
+        rows[r][-1] = cell(["-1", "01", " 1", "+1", "1_0", "x", ""])
+    elif fault == "bad weight":
+        rows[r][1] = cell(["x", "-1", "nan", "inf", "", " 1"])
+    elif fault == "duplicate id":
+        rows[r][0] = rows[0][0]
+    elif fault == "row length":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0"]
+    lines = [",".join(line) for line in [header, *rows]]
+    ending = cell(["\n", "\r\n"])
+    ends = [cell(["\n", "\r\n"]) if fault == "mixed endings" else ending for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line ending
+    data = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if fault == "cut short":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    return fault, data
+
+
+@st.composite
+def binary_files(draw):
+    """(fault, bytes) of a small CTS1 file: well-formed, or with one fault."""
+    fault = draw(st.sampled_from(BINARY_FAULTS))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    j = draw(st.sampled_from([0, 1] if fault == "bad J" else [3, 256]))
+    data = bytearray(b"CTS1" + struct.pack("<III", n, t, j))
+    text = lambda value: struct.pack("<I", len(value)) + value  # noqa: E731
+    bad = draw(st.integers(0, n - 1))  # the row a row fault is in
+    for r in range(n):
+        faulty = lambda kind: fault == kind and r == bad  # noqa: E731
+        ident = f"p{max(r - 1, 0) if faulty('duplicate id') else r}é".encode()
+        data += text(ident[:-1] if faulty("bad UTF-8") else ident)  # half of the é
+        data += struct.pack("<d", draw(st.sampled_from([-1.0, float("nan")])) if faulty("bad weight") else 0.5)
+        keys = draw(st.lists(st.sampled_from([b"a", b"b"]), max_size=2, unique=True))
+        keys += keys[:1] if faulty("repeated attribute") else []
+        data += struct.pack("<I", len(keys))
+        for key in keys:
+            data += text(key) + text(draw(st.sampled_from([b"x", "ü".encode()])))
+        levels = draw(st.lists(st.integers(0, 2), min_size=t, max_size=t))
+        if faulty("level out of range") and j == 3:
+            levels[-1] = draw(st.sampled_from([3, 255]))
+        data += bytes(levels)
+    at = len(data) - 1 - draw(st.integers(0, len(data) - 1))  # counted from the end, into the rows
+    if fault == "cut":
+        del data[at:]
+    elif fault == "flip":
+        data[at] ^= 1 << draw(st.integers(0, 7))
+    elif fault == "tail":
+        data += b"\0"
+    return fault, bytes(data)
+
+
+def check_round_trips(loaded, folder):
+    """A loaded dataset saved in either format loads back equal; saving raises only DatasetError."""
+    for fmt in ("csv", "binary"):
+        path = folder / f"saved.{fmt}"
+        try:
+            save_dataset(loaded, path, format=fmt)
+        except DatasetError as exc:  # CTS1 stores levels as bytes
+            assert fmt == "binary" and loaded.J > 256, exc
+            continue
+        assert outcome(lambda p: load_dataset(p, format=fmt), path) == outcome(lambda p: loaded, path)
+
+
+@DIFFERENTIAL
+@given(st.one_of(st.tuples(st.just("csv"), csv_files()), st.tuples(st.just("binary"), binary_files())))
+def test_every_reader_and_writer_agree(tmp_path_factory, case):
+    fmt, (_fault, data) = case  # the fault names the case in a failure report
+    folder = tmp_path_factory.mktemp("io")
+    path = folder / f"input.{fmt}"
+    path.write_bytes(data)
+    if fmt == "csv":
+        expected = outcome(series_module._load_csv_rows, path)
+        bulk = outcome(series_module._load_csv_bulk, path)
+        assert bulk is None or bulk == expected
+    else:
+        expected = outcome(series_module._load_binary, path)
+    assert outcome(lambda p: load_dataset(p, format=fmt), path) == expected
+    if expected[0] != "error":
+        check_round_trips(load_dataset(path, format=fmt), folder)

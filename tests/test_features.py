@@ -43,14 +43,14 @@ class TestLocalRanges:
 
     def test_matches_per_series_composition(self, rng):
         ds = toy_dataset(rng.integers(0, 3, size=(20, 24)).tolist(), J=3)
-        expected = [transform(s.values) for s in ds.series]
+        expected = [transform(values) for values in ds.levels]
         mins, maxs = local_ranges(ds.levels)
         assert np.array_equal(mins, [c.min() for c in expected])
         assert np.array_equal(maxs, [c.max() for c in expected])
 
     def test_shard_of_several_chunks_matches_the_per_series_oracle(self, rng):
         ds = toy_dataset(rng.integers(0, 4, size=(200, 50)).tolist(), J=4)
-        oracle = [transform(s.values) for s in ds.series]
+        oracle = [transform(values) for values in ds.levels]
         mins, maxs = local_ranges(ds.levels)
         assert mins.tobytes() == np.array([c.min() for c in oracle]).tobytes()
         assert maxs.tobytes() == np.array([c.max() for c in oracle]).tobytes()
@@ -125,8 +125,8 @@ class TestBuildFeatures:
         d_min, d_max = bounds = reduce_global_range([ranges])
         for length in (2, 7, 100):
             fm = build_features(ranges, bounds, length)
-            for row, s in zip(fm, ds.series):
-                diagram = sublevel_persistence(transform(s.values))
+            for row, values in zip(fm, ds.levels):
+                diagram = sublevel_persistence(transform(values))
                 oracle = landscape_from_diagram(diagram, d_min, d_max, length)
                 assert np.max(np.abs(row - oracle)) < 1e-12
 

@@ -221,6 +221,15 @@ class TestLloyd:
         with pytest.raises(ValueError, match="points must be finite"):
             lloyd(points, CentroidSet(centroids=np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda c: lloyd(c, c), id="lloyd"),
+        pytest.param(lambda c: init_uniform(c, 2, seed=0), id="init_uniform"),
+    ])
+    def test_a_centroid_set_is_not_points(self, call):
+        # points are an array; the consensus step stacks the workers' centroid arrays
+        with pytest.raises(ValueError, match="points must form a 2-D matrix"):
+            call(CentroidSet(centroids=np.arange(6.0).reshape(3, 2)))
+
 
 class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)

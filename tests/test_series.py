@@ -168,11 +168,10 @@ class TestRoundTrips:
         save_dataset(dataset, path, format=fmt)
         back = load_dataset(path, format=fmt)
         assert back.T == dataset.T and back.J == dataset.J and back.N == dataset.N
-        for a, b in zip(dataset.series, back.series):
-            assert a.id == b.id
-            assert np.array_equal(a.values, b.values)
-            assert a.weight == b.weight
-            assert a.attributes == b.attributes
+        assert back.ids == dataset.ids
+        assert np.array_equal(back.levels, dataset.levels)
+        assert back.weights.tolist() == dataset.weights.tolist()
+        assert back.attributes == dataset.attributes
 
     def test_csv_level_out_of_range_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -197,7 +196,7 @@ class TestRoundTrips:
         path.write_text("id,t0,t1,t2\np1,0,0,1\n")
         ds = load_dataset(path)
         assert ds.series[0].weight == 1.0
-        assert np.array_equal(ds.series[0].values, [0, 0, 1])
+        assert np.array_equal(ds.levels[0], [0, 0, 1])
 
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -270,8 +269,8 @@ class TestSyntheticGeneration:
 
     def test_zero_noise_returns_templates(self):
         ds = generate_synthetic(1, 8, noise=0.0, seed=42)
-        for s in ds.series:
-            assert np.array_equal(s.values, archetype_template(s.attributes["truth"], 8))
+        for r, truth in enumerate(ds.attributes["truth"]):
+            assert np.array_equal(ds.levels[r], archetype_template(truth, 8))
 
     def test_home_archetype_mostly_home(self):
         tpl = archetype_template("C1", 1440)
@@ -285,9 +284,9 @@ class TestSyntheticGeneration:
     def test_truth_matches_nearest_template(self):
         ds = generate_synthetic(5, 64, noise=0.0, seed=1)
         templates = {arch: archetype_template(arch, 64) for arch in ARCHETYPES}
-        for s in ds.series:
-            nearest = min(templates, key=lambda a: int((s.values != templates[a]).sum()))
-            assert nearest == s.attributes["truth"]
+        for r, truth in enumerate(ds.attributes["truth"]):
+            nearest = min(templates, key=lambda a: int((ds.levels[r] != templates[a]).sum()))
+            assert nearest == truth
 
     def test_flip_noise_concentrates_around_templates(self):
         # per-(minute, level) proportions stay near the template indicator;

@@ -257,6 +257,23 @@ class TestSocketTransport:
         assert "Traceback" not in err
 
     @needs_fork
+    def test_when_every_worker_dies_the_lowest_numbered_is_named(self, monkeypatch, capfd):
+        # each SETUP goes out before any reply is read, and a failed send is raised at its
+        # worker's turn, so which send the kernel refused first does not matter
+        def raises(conn):
+            raise RuntimeError("worker entry failed")
+
+        monkeypatch.setattr(wire, "worker_entry", raises)
+        dataset = generate_synthetic(5, 32, noise=0.05, seed=7)
+        named = []
+        for _ in range(25):
+            with pytest.raises(ProtocolError) as caught:
+                run_dcc(dataset, k=2, s=3, length=20, seed=5, transport="socket")
+            named.append(str(caught.value).split(":")[0])
+        assert named == ["worker 1"] * 25
+        assert capfd.readouterr().err.count("worker: worker entry failed\n") == 75
+
+    @needs_fork
     def test_worker_that_stops_answering_is_named_and_killed(self, monkeypatch, tmp_path):
         pids = tmp_path / "pids"
 
