@@ -18,8 +18,8 @@ _PUBLIC = {
            " master_consensus run_dcc worker_round",
     "features": "build_features local_ranges reduce_global_range",
     "kmeans": "Assignment CentroidSet init_uniform lloyd wcss_total",
-    "series": "ARCHETYPES Dataset DatasetError ShardPlan archetype_template generate_synthetic"
-              " load_dataset make_shard_plan save_dataset",
+    "series": "ARCHETYPES Dataset DatasetError archetype_template generate_synthetic load_dataset"
+              " make_shard_plan save_dataset",
     "summarize": "composition_table minute_proportions",
     "tda": "PersistenceDiagram landscape_from_diagram landscape_grid sublevel_persistence",
     "wft": "fast_wft_batch next_pow2 walsh_matrix walsh_value",

@@ -195,11 +195,11 @@ def cmd_cluster(args) -> None:
     dataset = load_dataset(args.input, format=args.format)
     result = run_dcc(dataset, k=args.K, s=args.S, length=args.L, seed=args.seed,
                      max_rounds=args.I, transport=args.transport)
-    plan = make_shard_plan(dataset.N, args.S, args.seed)
+    order = np.concatenate(make_shard_plan(dataset.N, args.S, args.seed))
 
     labels_csv = _csv_text([("id", "label"), *zip(dataset.ids, result.labels.tolist())])
     order_csv = "position,original_index\n" + "".join(
-        f"{pos},{orig}\n" for pos, orig in enumerate(plan.order.tolist())
+        f"{pos},{orig}\n" for pos, orig in enumerate(order.tolist())
     )
     metrics = {
         "K": args.K, "S": args.S, "L": args.L, "I": args.I, "seed": args.seed,
@@ -250,7 +250,11 @@ def _read_labels(path: str, dataset) -> np.ndarray:
         header = fh.readline().strip()
         if header != "id,label":
             raise DatasetError(f"bad labels file header {header!r}")
-        rows = [row for row in csv.reader(fh) if row and (len(row) > 1 or row[0].strip())]
+        rows = []
+        try:  # extend keeps the rows read before one that csv.reader cannot read
+            rows.extend(row for row in csv.reader(fh) if row and (len(row) > 1 or row[0].strip()))
+        except csv.Error as exc:  # a field beyond csv.field_size_limit(), say
+            raise DatasetError(f"labels file row {len(rows) + 1}: {exc}") from None
     if len(rows) != dataset.N:
         raise DatasetError(f"labels file has {len(rows)} rows, dataset has {dataset.N}")
     labels = np.empty(dataset.N, dtype=np.int64)

@@ -1,5 +1,8 @@
 """Divide-and-combine K-means: S shard workers, one coordinator.
 
+A shard is an array of row indices (`make_shard_plan`).  A series' Walsh
+range depends on that series alone, so one range pass in ingestion order
+gives every shard's (mins, maxs), indexed by the shard's array.
 Each round, every worker runs K-means on its shard's landscape features
 (round 1 from a uniform-range initialization with a worker-specific seed,
 later rounds from the consensus centroids broadcast by the coordinator)
@@ -11,8 +14,8 @@ pair bit for bit is in a cycle that never converges: the loop records
 where the cycle started and its period, skips the whole periods left in
 the budget and runs only the rounds left over, so it returns exactly what
 running all I rounds would.  Final labels are the workers' last retained
-assignments, realigned to the dataset's ingestion order, and the total
-WCSS is the sum of the per-shard values.
+assignments, put back through each shard's index array into the dataset's
+ingestion order, and the total WCSS is the sum of the per-shard values.
 
 Per-worker seeds derive deterministically from (seed, worker_id), so
 results do not depend on execution order or transport.  One round loop,
@@ -32,7 +35,7 @@ import numpy as np
 
 from .features import DEFAULT_LANDSCAPE_LENGTH, build_features, local_ranges, reduce_global_range
 from .kmeans import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
-from .series import Dataset, DatasetError, ShardPlan, make_shard_plan
+from .series import Dataset, DatasetError, make_shard_plan
 
 DEFAULT_MAX_ROUNDS = 100
 
@@ -156,16 +159,17 @@ def master_consensus(messages: list[RoundMessage], k: int, seed: int) -> Centroi
 
 def _prepare_features(
     dataset: Dataset, s: int, length: int, seed: int
-) -> tuple[ShardPlan, list[np.ndarray], float]:
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """The shards' index arrays, their feature matrices and the seconds spent."""
     t0 = time.perf_counter()
-    plan = make_shard_plan(dataset.N, s, seed)
-    ranges = [local_ranges(dataset.levels[plan.shard_indices(si)]) for si in range(s)]
-    d_min, d_max = bounds = reduce_global_range(ranges)  # all-shards barrier
+    shards = make_shard_plan(dataset.N, s, seed)
+    mins, maxs = local_ranges(dataset.levels)
+    d_min, d_max = bounds = reduce_global_range([(mins, maxs)])  # all-shards barrier
     if d_min == d_max:
         raise DatasetError(f"every series has the same Walsh range [{d_min}, {d_max}], "
                            "so there is nothing to cluster")
-    matrices = [build_features(r, bounds, length) for r in ranges]
-    return plan, matrices, time.perf_counter() - t0
+    matrices = [build_features((mins[ix], maxs[ix]), bounds, length) for ix in shards]
+    return shards, matrices, time.perf_counter() - t0
 
 
 def coordinate_rounds(
@@ -241,14 +245,16 @@ def _check_parameters(k_list: list[int], length: int, max_rounds: int) -> None:
 
 def _cluster(prepared, k: int, seed: int, max_rounds: int, run_rounds) -> ClusterResult:
     """Run and time the round loop on `_prepare_features`' output; labels go back to ingestion order."""
-    plan, matrices, feature_seconds = prepared
+    shards, matrices, feature_seconds = prepared
     t0 = time.perf_counter()
     (assignments, worker_centroids, consensus, rounds_used, converged,
      cycle_start, cycle_period) = run_rounds(matrices, k, seed, max_rounds)
     kmeans_seconds = time.perf_counter() - t0
     per_shard = tuple(a.wcss for a in assignments)
+    labels = np.empty(sum(map(len, shards)), dtype=np.int64)  # Assignment's label dtype
+    labels[np.concatenate(shards)] = np.concatenate([a.labels for a in assignments])
     return ClusterResult(
-        labels=plan.restore(np.concatenate([a.labels for a in assignments])),
+        labels=labels,
         wcss=wcss_total(per_shard),
         centroids=consensus,
         rounds_used=rounds_used,

@@ -1,16 +1,17 @@
-"""Two-phase feature pipeline: per-shard WFT ranges, a global range reduction,
+"""Two-phase feature pipeline: per-series WFT ranges, a global range reduction,
 then per-series first-order landscapes on the shared grid.
 
-Shards can compute their local ranges independently and in parallel, but
-the landscape grid is defined by the minimum and maximum transform values
-across ALL series, so an explicit all-shards reduction sits between the
-two phases.  Without it, shards would build features on inconsistent
-grids and the rows would not be comparable.
+A series' range depends on that series alone, so one pass computes every
+range whatever the sharding, but the landscape grid is defined by the
+minimum and maximum transform values across ALL series, so an explicit
+all-shards reduction sits between the two phases.  Without it, shards
+would build features on inconsistent grids and the rows would not be
+comparable.
 
 A landscape depends only on the min and max of the series' transform, so
 each series is transformed once: `build_features` turns the (mins, maxs)
 arrays of `local_ranges` into the shard's features, a plain (n, L)
-float64 array, with `tda.tent_rows`.  A shard's (n, T) level matrix goes
+float64 array, with `tda.tent_rows`.  An (n, T) level matrix goes
 to `fast_wft_batch` in zero-padded chunks of at most _CHUNK_ROWS series,
 which it transforms exactly with two matrix products (see `wft`).  Both
 phases work on arrays only; one series is a one-row level matrix.
@@ -31,7 +32,9 @@ _CHUNK_ROWS = 64  # series per transform call in local_ranges
 
 def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mins, maxs) of the WFT coefficients of every row of an (n, T) level
-    matrix, in row order.
+    matrix, in row order.  A row's pair depends on that row alone, so the
+    pass over a whole dataset, indexed by a shard's row indices, gives the
+    shard's pairs.
 
     Rows are copied _CHUNK_ROWS at a time into one reused buffer of the
     levels' dtype whose zero padding is written once, and each chunk's
@@ -40,7 +43,7 @@ def local_ranges(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     levels = np.asarray(levels)
     if levels.ndim != 2 or not len(levels):
-        raise ValueError("shard must be a non-empty (n, T) level matrix")
+        raise ValueError("levels must be a non-empty (n, T) matrix")
     n, t = levels.shape
     buf = np.zeros((min(n, _CHUNK_ROWS), next_pow2(t)), dtype=levels.dtype)
     mins, maxs = np.empty(n), np.empty(n)

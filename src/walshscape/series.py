@@ -174,57 +174,18 @@ def _check_rows(levels: np.ndarray, weights: np.ndarray, ids: list[str], attribu
         raise DatasetError(f"{message} at row {r + 1}")
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """Randomized assignment of N series to S shards.
-
-    `order` is the without-replacement sampling order: order[k] is the
-    0-based original index of the k-th sampled series.  The first
-    shard_sizes[0] sampled series form shard 0, the next shard_sizes[1]
-    shard 1, and so on; all shards but the last have floor(N/S) series
-    and the last absorbs the remainder.
-    """
-
-    S: int
-    order: np.ndarray
-    shard_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", np.asarray(self.order, dtype=np.int64))
-
-    @property
-    def N(self) -> int:
-        return len(self.order)
-
-    def shard_indices(self, s: int) -> np.ndarray:
-        """Original indices of shard s, in sampled order."""
-        start = int(sum(self.shard_sizes[:s]))
-        return self.order[start : start + self.shard_sizes[s]]
-
-    def restore(self, concatenated: np.ndarray) -> np.ndarray:
-        """Realign values from shard-concatenation order back to ingestion order."""
-        concatenated = np.asarray(concatenated)
-        if len(concatenated) != self.N:
-            raise ValueError("length does not match the plan")
-        out = np.empty_like(concatenated)
-        out[self.order] = concatenated
-        return out
-
-
-def make_shard_plan(n: int, s: int, seed: int) -> ShardPlan:
+def make_shard_plan(n: int, s: int, seed: int) -> list[np.ndarray]:
     """Sample the N series indices without replacement and split them into S shards.
 
-    Deterministic for fixed (n, s, seed): the order is a PCG64 permutation
-    of 0..n-1.  Shards 0..S-2 get floor(n/s) series each; the last shard
+    Returns the S shards' arrays of 0-based original indices, in sampled
+    order; their concatenation is a PCG64 permutation of 0..n-1, fixed by
+    (n, seed).  Shards 0..S-2 get floor(n/s) series each; the last shard
     gets the remainder.
     """
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= S <= N, got S={s}, N={n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    order = rng.permutation(n)
-    base = n // s
-    sizes = tuple([base] * (s - 1) + [n - (s - 1) * base])
-    return ShardPlan(S=s, order=order, shard_sizes=sizes)
+    return np.split(rng.permutation(n), np.arange(1, s) * (n // s))
 
 
 def archetype_template(archetype: str, t: int) -> np.ndarray:
@@ -410,20 +371,26 @@ def _load_csv_rows(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DatasetError("empty file") from None
+        except csv.Error as exc:  # a field beyond csv.field_size_limit(), say
+            raise DatasetError(f"malformed header: {exc}") from None
         columns = _CsvColumns(header)
         levels = array.array("q")  # int64, row after row
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != columns.width:
-                raise DatasetError(
-                    f"malformed row {rownum}: expected {columns.width} fields, got {len(row)}"
-                )
-            columns.add(row, rownum)
-            try:
-                levels.fromlist([int(row[k]) for k in columns.level_cols])
-            except ValueError:
-                raise DatasetError(f"malformed row {rownum}: non-integer level") from None
-            except OverflowError:  # beyond int64
-                raise DatasetError(f"level out of range at row {rownum}") from None
+        rownum = 0
+        try:
+            for rownum, row in enumerate(reader, start=1):
+                if len(row) != columns.width:
+                    raise DatasetError(
+                        f"malformed row {rownum}: expected {columns.width} fields, got {len(row)}"
+                    )
+                columns.add(row, rownum)
+                try:
+                    levels.fromlist([int(row[k]) for k in columns.level_cols])
+                except ValueError:
+                    raise DatasetError(f"malformed row {rownum}: non-integer level") from None
+                except OverflowError:  # beyond int64
+                    raise DatasetError(f"level out of range at row {rownum}") from None
+        except csv.Error as exc:  # raised by the reader, for the row after the last one read
+            raise DatasetError(f"malformed row {rownum + 1}: {exc}") from None
     matrix = np.frombuffer(levels, dtype=np.int64).reshape(len(columns.ids), len(columns.level_cols))
     return columns.dataset(matrix)
 

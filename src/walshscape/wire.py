@@ -180,7 +180,9 @@ def _fork_worker(conn: socket.socket, inherited: list[socket.socket]) -> int:
         worker_entry(conn)  # looked up at call time, so a patched worker_entry runs
         code = 0
     except BaseException as exc:  # KeyboardInterrupt too: the child must not unwind into the caller
-        print(f"worker: {str(exc) or type(exc).__name__}", file=sys.stderr, flush=True)
+        # one write per line, so the lines of workers that fail together do not interleave
+        sys.stderr.write(f"worker: {str(exc) or type(exc).__name__}\n")
+        sys.stderr.flush()
     finally:
         os._exit(code)
 

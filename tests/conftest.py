@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from walshscape import ARCHETYPES, Dataset
+from walshscape import ARCHETYPES, Dataset, build_features, local_ranges, make_shard_plan, reduce_global_range
 
 
 def truth_labels(dataset) -> np.ndarray:
@@ -39,6 +39,23 @@ def toy_dataset(values_rows, weights=None, attrs=None, J=None) -> Dataset:
         attributes={name: [row_attrs.get(name) for row_attrs in attrs] for name in names},
         J=J,
     )
+
+
+def per_shard_features(dataset, s, length, seed):
+    """The feature path that gathers each shard's level rows: its own range
+    pass per shard, then the reduction of all shards' ranges and each
+    shard's rows on the shared grid.  Returns (shards, matrices)."""
+    shards = make_shard_plan(dataset.N, s, seed)
+    ranges = [local_ranges(dataset.levels[ix]) for ix in shards]
+    bounds = reduce_global_range(ranges)
+    return shards, [build_features(r, bounds, length) for r in ranges]
+
+
+def to_ingestion_order(shards, concatenated: np.ndarray) -> np.ndarray:
+    """Values in shard-concatenation order, put back in ingestion order."""
+    out = np.empty_like(concatenated)
+    out[np.concatenate(shards)] = concatenated
+    return out
 
 
 def traced_peak(fn, *args) -> int:

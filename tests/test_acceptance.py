@@ -31,7 +31,7 @@ from walshscape import (
 from walshscape.cli import main as cli_main
 from walshscape.tda import tent_rows
 
-from conftest import label_agreement, truth_labels
+from conftest import label_agreement, to_ingestion_order, truth_labels
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,10 @@ def planted_run(planted_dataset):
 
 def test_c01_shard_arithmetic_at_survey_scale():
     t0 = time.perf_counter()
-    plan = make_shard_plan(250882, 100, seed=0)
+    shards = make_shard_plan(250882, 100, seed=0)
     elapsed = time.perf_counter() - t0
-    assert plan.shard_sizes == tuple([2508] * 99 + [2590])
-    assert sum(plan.shard_sizes) == 250882
+    assert tuple(map(len, shards)) == tuple([2508] * 99 + [2590])
+    assert sum(map(len, shards)) == 250882
     # a 250882-element permutation costs ~3 ms in numpy on this hardware,
     # so "instant" is bounded at 100 ms rather than 1 ms
     assert elapsed < 0.1
@@ -115,13 +115,13 @@ def test_c06_single_worker_protocol_degenerates_to_plain_lloyd():
     dataset = generate_synthetic(60, 96, noise=0.05, seed=7)
     result = run_dcc(dataset, k=3, s=1, length=100, seed=3)
 
-    plan = make_shard_plan(dataset.N, 1, seed=3)
-    shard = dataset.levels[plan.shard_indices(0)]
+    shards = make_shard_plan(dataset.N, 1, seed=3)
+    shard = dataset.levels[shards[0]]
     ranges = local_ranges(shard)
     features = build_features(ranges, reduce_global_range([ranges]), 100)
     assignment, _ = lloyd(features, init_uniform(features, 3, derive_seed(3, 1)))
 
-    assert np.array_equal(result.labels, plan.restore(assignment.labels))
+    assert np.array_equal(result.labels, to_ingestion_order(shards, assignment.labels))
     assert result.wcss == assignment.wcss
     print("\n[acceptance] C06 S=1 labels identical to one lloyd run (exact)")
 
@@ -171,13 +171,12 @@ def test_c09_feature_extraction_speed_for_one_worker(rng):
 
 
 def test_c10_total_wcss_is_additive_over_shards(planted_dataset, planted_run):
-    plan = make_shard_plan(planted_dataset.N, 4, seed=7)
-    shards = [planted_dataset.levels[plan.shard_indices(s)] for s in range(4)]
-    ranges = [local_ranges(sh) for sh in shards]
+    shards = make_shard_plan(planted_dataset.N, 4, seed=7)
+    ranges = [local_ranges(planted_dataset.levels[ix]) for ix in shards]
     global_range = reduce_global_range(ranges)
     matrices = [build_features(r, global_range, 100) for r in ranges]
 
-    labels_shard_order = planted_run.labels[plan.order]
+    labels_shard_order = planted_run.labels[np.concatenate(shards)]
     bounds = np.cumsum([len(m) for m in matrices])[:-1]
     flat = 0.0
     for matrix, labels, centroids in zip(

@@ -431,6 +431,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: level out of range at row 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, where", [
+        ("id,t0,t1\np1,0,1\n{long},0,1\n", "malformed row 2"),
+        ("id,t0,{long}\np1,0,1\n", "malformed header"),
+    ])
+    def test_a_field_beyond_the_csv_limit_is_data_error_naming_its_row(self, tmp_path, capsys,
+                                                                        text, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.format(long="x" * (csv.field_size_limit() + 1)))
+        out = tmp_path / "o"
+        assert run_cli("cluster", "--input", str(bad), "--out", str(out), "--K", "2") == 2
+        assert capsys.readouterr().err == (
+            f"error: {where}: field larger than field limit ({csv.field_size_limit()})\n")
+        assert not out.exists()
+
     @staticmethod
     def _labels_lines(data_csv):
         ids = [s.id for s in load_dataset(data_csv).series]
@@ -458,6 +472,20 @@ class TestExitCodes:
             ) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_a_labels_field_beyond_the_csv_limit_is_data_error_naming_its_row(self, data_csv,
+                                                                               tmp_path, capsys):
+        lines = self._labels_lines(data_csv)
+        path = tmp_path / "labels.csv"
+        long = "x" * (csv.field_size_limit() + 1)
+        path.write_text("\n".join(lines[:3] + ["", f"{long},1"] + lines[4:]) + "\n")  # a blank line too
+        out = tmp_path / "o"
+        assert run_cli(
+            "summarize", "--input", str(data_csv), "--labels", str(path), "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: labels file row 3: field larger than field limit ({csv.field_size_limit()})\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("names", ["home", "x=home", "0=home", "1=a/b", "1=", "1=x,1=y",
                                        "1=x,2=x", "1=cluster2"])
@@ -617,7 +645,7 @@ def test_order_csv_equals_the_numpy_scalar_formatting(data_csv, tmp_path):
     out = tmp_path / "run"
     assert run_cli("cluster", "--input", str(data_csv), "--K", "3", "--S", "4", "--seed", "2",
                    "--out", str(out)) == 0
-    order = make_shard_plan(120, 4, 2).order
+    order = np.concatenate(make_shard_plan(120, 4, 2))
     expected = "position,original_index\n" + "".join(f"{pos},{orig}\n" for pos, orig in enumerate(order))
     assert (out / "order.csv").read_text() == expected
 

@@ -187,7 +187,7 @@ def test_a_field_beyond_the_csv_limit_takes_the_row_loop(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("id,t0\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
     assert series_module._load_csv_bulk(path) is None
-    with pytest.raises(csv.Error):
+    with pytest.raises(DatasetError, match=r"^malformed row 1: field larger than field limit"):
         load_dataset(path)
 
 

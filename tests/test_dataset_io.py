@@ -13,6 +13,7 @@ unquoted field: inputs outside that are csv.reader's or the codec's
 errors, pinned by tests/test_csv_io.py.
 """
 
+import csv
 import struct
 
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +27,7 @@ DIFFERENTIAL = settings(derandomize=True, max_examples=400, deadline=None, datab
                         suppress_health_check=[HealthCheck.too_slow])
 
 CSV_FAULTS = ["none", "quoted head", "quoted cell", "multi-digit level", "odd level", "bad weight",
-              "bad J", "duplicate id", "row length", "mixed endings", "cut short"]
+              "bad J", "duplicate id", "row length", "mixed endings", "cut short", "field over limit"]
 BINARY_FAULTS = ["none", "cut", "flip", "tail", "duplicate id", "bad weight", "bad UTF-8",
                  "repeated attribute", "level out of range", "bad J"]
 
@@ -74,6 +75,8 @@ def csv_files(draw):
         rows[r][0] = rows[0][0]
     elif fault == "row length":
         rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0"]
+    elif fault == "field over limit":  # csv.reader refuses it, in the header or in a row
+        (header if draw(st.booleans()) else rows[r])[k] = "x" * (csv.field_size_limit() + 1)
     lines = [",".join(line) for line in [header, *rows]]
     ending = cell(["\n", "\r\n"])
     ends = [cell(["\n", "\r\n"]) if fault == "mixed endings" else ending for _ in lines]

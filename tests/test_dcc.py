@@ -15,21 +15,17 @@ from walshscape import (
     DatasetError,
     ProtocolError,
     RoundMessage,
-    build_features,
     derive_seed,
     elbow_sweep,
     generate_synthetic,
     init_uniform,
     lloyd,
-    local_ranges,
-    make_shard_plan,
     master_consensus,
-    reduce_global_range,
     run_dcc,
     worker_round,
 )
 
-from conftest import label_agreement, toy_dataset, truth_labels
+from conftest import label_agreement, per_shard_features, to_ingestion_order, toy_dataset, truth_labels
 
 
 def feature_matrix(rows) -> np.ndarray:
@@ -37,12 +33,7 @@ def feature_matrix(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def full_features(dataset, s_count, length, seed):
-    plan = make_shard_plan(dataset.N, s_count, seed)
-    shards = [dataset.levels[plan.shard_indices(s)] for s in range(s_count)]
-    ranges = [local_ranges(sh) for sh in shards]
-    global_range = reduce_global_range(ranges)
-    return plan, [build_features(r, global_range, length) for r in ranges]
+CHUNK = features_module._CHUNK_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +52,7 @@ class TestPrepareFeatures:
 
         monkeypatch.setattr(features_module, "fast_wft_batch", counting)
         dcc_module._prepare_features(dataset, 3, 40, 1)
+        # one range pass in chunks of _CHUNK_ROWS: 180 rows take 3 calls whatever S is
         assert len(rows_per_call) == 3
         assert sum(rows_per_call) == dataset.N
 
@@ -74,12 +66,51 @@ class TestPrepareFeatures:
             return real(matrix)
 
         monkeypatch.setattr(features_module, "fast_wft_batch", recording)
-        plan, _, _ = dcc_module._prepare_features(big, 3, 40, 1)
+        dcc_module._prepare_features(big, 3, 40, 1)
         assert len(passed) > 3
         assert sum(len(m) for m in passed) == big.N
         padded = np.vstack(passed)
-        assert np.array_equal(padded[:, : big.T], big.levels[plan.order])
+        assert np.array_equal(padded[:, : big.T], big.levels)  # ingestion order, not shard order
         assert not padded[:, big.T :].any()
+
+    @pytest.mark.parametrize("n, s", [
+        (n, s) for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 200)
+        for s in (1, 2, 3, 7) if s <= n
+    ])
+    def test_features_equal_the_per_shard_path(self, n, s):
+        levels = np.random.default_rng(n * 10 + s).integers(0, 4, size=(n, 50))
+        levels[0] = 3  # so d_min < d_max, even at n = 1
+        dataset = toy_dataset(levels.tolist(), J=4)
+        shards, matrices, _ = dcc_module._prepare_features(dataset, s, 30, 11)
+        expected_shards, expected = per_shard_features(dataset, s, 30, 11)
+        assert [ix.tobytes() for ix in shards] == [ix.tobytes() for ix in expected_shards]
+        assert [m.tobytes() for m in matrices] == [m.tobytes() for m in expected]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    def test_features_equal_the_per_shard_path_through_the_butterfly(self, s):
+        # max level * T2 = 19999 * 1024 passes 2**24, so these chunks take the butterfly; chunks
+        # of only the rows below 16000 take the exact path, and each order mixes them differently
+        rng = np.random.default_rng(s)
+        levels = np.vstack([rng.integers(0, 20000, size=(70, 600)), rng.integers(0, 16000, size=(90, 600))])
+        levels[0, 0] = 19999
+        dataset = toy_dataset(levels.tolist(), J=20000)
+        _, matrices, _ = dcc_module._prepare_features(dataset, s, 25, 5)
+        _, expected = per_shard_features(dataset, s, 25, 5)
+        assert [m.tobytes() for m in matrices] == [m.tobytes() for m in expected]
+
+    @pytest.mark.parametrize("s", [1, 4, 9])
+    def test_one_range_pass_whatever_s(self, dataset, monkeypatch, s):
+        calls = []
+        real = dcc_module.local_ranges
+
+        def counting(levels):
+            calls.append(len(levels))
+            return real(levels)
+
+        monkeypatch.setattr(dcc_module, "local_ranges", counting)
+        run_dcc(dataset, k=3, s=s, length=30, seed=2, max_rounds=3)
+        elbow_sweep(dataset, [2, 3], s=s, length=30, seed=2, max_rounds=3)
+        assert calls == [dataset.N, dataset.N]
 
     def test_identical_walsh_ranges_leave_nothing_to_cluster(self):
         zeros = toy_dataset([[0] * 16] * 6, J=3)
@@ -212,11 +243,11 @@ class TestMasterConsensus:
 class TestRunDcc:
     def test_single_shard_equals_plain_lloyd(self, dataset):
         result = run_dcc(dataset, k=3, s=1, length=50, seed=3)
-        plan, matrices = full_features(dataset, 1, 50, 3)
+        shards, matrices = per_shard_features(dataset, 1, 50, 3)
         assignment, _ = lloyd(
             matrices[0], init_uniform(matrices[0], 3, derive_seed(3, 1))
         )
-        assert np.array_equal(result.labels, plan.restore(assignment.labels))
+        assert np.array_equal(result.labels, to_ingestion_order(shards, assignment.labels))
         assert result.wcss == assignment.wcss
         assert result.converged
 
@@ -243,9 +274,9 @@ class TestRunDcc:
 
     def test_wcss_additive_over_shards(self, dataset):
         result = run_dcc(dataset, k=3, s=4, length=40, seed=5)
-        plan, matrices = full_features(dataset, 4, 40, 5)
+        shards, matrices = per_shard_features(dataset, 4, 40, 5)
         labels_by_shard = np.split(
-            result.labels[plan.order], np.cumsum([len(m) for m in matrices])[:-1]
+            result.labels[np.concatenate(shards)], np.cumsum([len(m) for m in matrices])[:-1]
         )
         flat = 0.0
         for matrix, labels, centroids in zip(matrices, labels_by_shard, result.worker_centroids):
@@ -324,7 +355,7 @@ class TestRunDcc:
 class TestElbowSweep:
     def test_single_cluster_single_shard_matches_grand_sse(self):
         dataset = generate_synthetic(20, 64, noise=0.1, seed=2)
-        _, matrices = full_features(dataset, 1, 30, 0)
+        _, matrices = per_shard_features(dataset, 1, 30, 0)
         rows = matrices[0]
         grand = ((rows - rows.mean(axis=0)) ** 2).sum()
         points = elbow_sweep(dataset, [1], s=1, length=30, seed=0)
@@ -332,7 +363,7 @@ class TestElbowSweep:
 
     def test_single_cluster_multi_shard_matches_per_shard_sse(self):
         dataset = generate_synthetic(20, 64, noise=0.1, seed=2)
-        _, matrices = full_features(dataset, 3, 30, 0)
+        _, matrices = per_shard_features(dataset, 3, 30, 0)
         expected = sum(
             ((m - m.mean(axis=0)) ** 2).sum() for m in matrices
         )

@@ -20,7 +20,7 @@ from walshscape import (
 from walshscape.dcc import _prepare_features
 from walshscape.tda import tent_rows
 
-from conftest import toy_dataset, traced_peak
+from conftest import to_ingestion_order, toy_dataset, traced_peak
 
 
 def transform(values) -> np.ndarray:
@@ -139,14 +139,11 @@ class TestBuildFeatures:
         ds = generate_synthetic(20, 64, noise=0.1, seed=11)
         matrices = {}
         for s_count in (1, 5):
-            plan = make_shard_plan(ds.N, s_count, seed=4)
-            shards = [ds.levels[plan.shard_indices(s)] for s in range(s_count)]
-            ranges = [local_ranges(sh) for sh in shards]
+            shards = make_shard_plan(ds.N, s_count, seed=4)
+            ranges = [local_ranges(ds.levels[ix]) for ix in shards]
             bounds = reduce_global_range(ranges)
             rows = np.vstack([build_features(r, bounds, 50) for r in ranges])
-            restored = np.empty_like(rows)
-            restored[plan.order] = rows
-            matrices[s_count] = restored
+            matrices[s_count] = to_ingestion_order(shards, rows)
         assert np.array_equal(matrices[1], matrices[5])
 
     def test_interior_series_does_not_disturb_existing_rows(self, rng):
@@ -181,9 +178,9 @@ def test_rows_equal_the_per_series_oracle_for_any_shard_split(levels, data):
         with pytest.raises(DatasetError, match="same Walsh range"):
             _prepare_features(ds, s, length, seed)
         return
-    plan, matrices, _ = _prepare_features(ds, s, length, seed)
+    shards, matrices, _ = _prepare_features(ds, s, length, seed)
     rows = np.vstack(matrices)
-    for position, original in enumerate(plan.order):
+    for position, original in enumerate(np.concatenate(shards)):
         c = oracle[original]
         expected = tent_rows(landscape_grid(d_min, d_max, length), [c.min()], [c.max()])[0]
         assert np.array_equal(rows[position], expected)

@@ -55,7 +55,7 @@ print(json.dumps({"homes": homes, "all": walshscape.__all__, "version": walshsca
                   "dir": dir(walshscape)}))
 """
     got = run_fresh(code)
-    assert len(got["all"]) == 35 and got["all"] == sorted(set(got["all"]))
+    assert len(got["all"]) == 34 and got["all"] == sorted(set(got["all"]))
     assert all(got["homes"][name] for name in got["all"]), [n for n, h in got["homes"].items() if not h]
     assert set(got["all"]) | {"__all__", "__version__"} <= set(got["dir"])
     assert got["version"] == "0.1.0"

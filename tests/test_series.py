@@ -366,36 +366,43 @@ def test_synthetic_levels_equal_the_where_oracle(size, noise, seed):
 
 class TestShardPlan:
     def test_survey_scale_arithmetic(self):
-        plan = make_shard_plan(250882, 100, seed=0)
-        assert plan.shard_sizes == tuple([2508] * 99 + [2590])
-        assert sum(plan.shard_sizes) == 250882
+        shards = make_shard_plan(250882, 100, seed=0)
+        assert tuple(map(len, shards)) == tuple([2508] * 99 + [2590])
+        assert sum(map(len, shards)) == 250882
 
     def test_single_shard(self):
-        plan = make_shard_plan(10, 1, seed=3)
-        assert plan.shard_sizes == (10,)
-        assert sorted(plan.order) == list(range(10))
+        shards = make_shard_plan(10, 1, seed=3)
+        assert tuple(map(len, shards)) == (10,)
+        assert sorted(np.concatenate(shards)) == list(range(10))
 
     def test_remainder_goes_to_last_shard(self):
-        assert make_shard_plan(7, 3, seed=0).shard_sizes == (2, 2, 3)
+        assert tuple(map(len, make_shard_plan(7, 3, seed=0))) == (2, 2, 3)
 
     def test_deterministic_and_seed_sensitive(self):
-        a = make_shard_plan(50, 4, seed=9)
-        b = make_shard_plan(50, 4, seed=9)
-        c = make_shard_plan(50, 4, seed=10)
-        assert np.array_equal(a.order, b.order)
-        assert not np.array_equal(a.order, c.order)
+        a = np.concatenate(make_shard_plan(50, 4, seed=9))
+        b = np.concatenate(make_shard_plan(50, 4, seed=9))
+        c = np.concatenate(make_shard_plan(50, 4, seed=10))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_order_is_a_permutation(self):
-        plan = make_shard_plan(123, 7, seed=1)
-        assert sorted(plan.order) == list(range(123))
+        shards = make_shard_plan(123, 7, seed=1)
+        assert sorted(np.concatenate(shards)) == list(range(123))
 
     def test_restore_inverts_shard_concatenation(self, rng):
-        plan = make_shard_plan(40, 6, seed=2)
+        shards = make_shard_plan(40, 6, seed=2)
         original = rng.normal(size=40)
-        concatenated = np.concatenate(
-            [original[plan.shard_indices(s)] for s in range(plan.S)]
-        )
-        assert np.array_equal(plan.restore(concatenated), original)
+        concatenated = np.concatenate([original[ix] for ix in shards])
+        restored = np.empty_like(concatenated)
+        restored[np.concatenate(shards)] = concatenated
+        assert np.array_equal(restored, original)
+
+    @pytest.mark.parametrize("n, s, seed", [(1, 1, 0), (7, 3, 0), (40, 6, 2), (250882, 100, 0)])
+    def test_shards_concatenate_to_the_pcg64_permutation(self, n, s, seed):
+        shards = make_shard_plan(n, s, seed)
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).permutation(n)
+        assert len(shards) == s and all(ix.dtype == np.int64 for ix in shards)
+        assert np.array_equal(np.concatenate(shards), expected)
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
