@@ -273,6 +273,12 @@ def _read_labels(path: str, dataset) -> np.ndarray:
     return labels
 
 
+def _check_title(flag: str, entry: str, title: str) -> None:
+    """Raise UsageError naming a flag's entry whose title cannot name a file."""
+    if not title or set(title) & {"/", "\0", os.sep, os.altsep}:
+        raise UsageError(f"bad {flag} entry {entry!r}: a name is a non-empty file title without '/'")
+
+
 def _parse_names(text: str) -> dict[int, str]:
     """--cluster-names as {cluster: name}: comma-separated `cluster=name` pairs."""
     names = {}
@@ -286,8 +292,7 @@ def _parse_names(text: str) -> dict[int, str]:
             cluster = 0
         if cluster < 1:
             raise UsageError(f"bad --cluster-names entry {part!r}: expected <cluster>=<name>, cluster from 1")
-        if not name or set(name) & {"/", "\0", os.sep, os.altsep}:
-            raise UsageError(f"bad --cluster-names entry {part!r}: a name is a non-empty file title without '/'")
+        _check_title("--cluster-names", part, name)
         if cluster in names:
             raise UsageError(f"--cluster-names names cluster {cluster} twice")
         names[cluster] = name
@@ -324,6 +329,9 @@ def _check_titles(names: dict[int, str], k: int) -> None:
 
 def cmd_summarize(args) -> None:
     names = _parse_names(args.cluster_names)
+    attributes = [a for a in args.attributes.split(",") if a.strip()]
+    for attribute in attributes:  # each titles a composition_<attribute>.csv
+        _check_title("--attributes", attribute, attribute)
     dataset = load_dataset(args.input, format=args.format)
     labels = _read_labels(args.labels, dataset)
     k = int(labels.max(initial=1))
@@ -333,7 +341,7 @@ def cmd_summarize(args) -> None:
     for cluster, table in minute_proportions(dataset, labels, k).items():
         files[f"proportions_{_title(names, cluster)}.csv"] = _proportions_csv(table)
 
-    for attribute in [a for a in args.attributes.split(",") if a.strip()]:
+    for attribute in attributes:
         table = composition_table(dataset, labels, k, attribute)
         rows = zip(table["clusters"].tolist(), table["values"], table["weighted_count"].tolist(),
                    table["share_within_value"].tolist(), table["share_within_cluster"].tolist())

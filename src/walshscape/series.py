@@ -15,6 +15,8 @@ digit (`_load_csv_bulk`), and otherwise runs the csv.reader row loop
 (`_load_csv_rows`).  The CSV writer writes blocks of rows as bytes, with
 the level text built by numpy, and falls back to csv.writer rows for J > 10
 (`_save_csv`); either way the file is what csv.writer writes row by row.
+A binary file is a 24-byte header, raw level and weight blocks and a JSON
+block of ids and attributes, each read whole once the header fits the file.
 
 All randomness (sharding, synthesis) uses numpy's PCG64 generator seeded
 through SeedSequence, so results are reproducible across platforms and
@@ -26,6 +28,8 @@ from __future__ import annotations
 import array
 import codecs
 import csv
+import json
+import os
 import struct
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,10 +42,10 @@ class DatasetError(ValueError):
     """Malformed or inconsistent dataset input."""
 
 
-_MAGIC = b"CTS1"
+_MAGIC = b"CTS2"
+_HEADER = struct.Struct("<4sIIIQ")  # magic, N, T, J, bytes of the id and attribute block
 _SYNTH_ROWS = 4096  # series per random draw in generate_synthetic
 _CSV_ROWS = 1024  # series per block written by _save_csv
-_READ_CHUNK = 1 << 16  # the most one read of a binary dataset asks for
 
 ARCHETYPES = ("C1", "C2", "C3")
 
@@ -238,7 +242,7 @@ def generate_synthetic(n_per_archetype: int, t: int, noise: float, seed: int) ->
 
 
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
-    """Write a dataset in the canonical CSV or the length-prefixed binary format.
+    """Write a dataset in the canonical CSV or the binary format.
 
     The columns are validated first, so ids, weights and attribute values
     set after construction cannot write a file that `load_dataset` rejects.
@@ -255,9 +259,9 @@ def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
 def load_dataset(path, format: str = "csv") -> Dataset:
     """Read a dataset written by `save_dataset`, validating every row.
 
-    Raises DatasetError with the offending 1-based data row number on
-    malformed rows, out-of-range levels, inconsistent lengths, and
-    negative or non-finite weights.
+    Raises DatasetError naming the first 1-based data row at fault for
+    malformed CSV rows, out-of-range levels, inconsistent lengths and bad
+    weights; a fault in a binary file's size or JSON block names no row.
     """
     if format == "csv":
         return _load_csv(path)
@@ -471,69 +475,50 @@ def _load_csv_bulk(path) -> Dataset | None:
     return columns.dataset(matrix)
 
 
-def _write_text(fh, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
-
-
 def _save_binary(dataset: Dataset, path) -> None:
     if dataset.J > 256:
         raise DatasetError("binary format stores levels as single bytes (J <= 256)")
-    names = sorted(dataset.attributes)
+    attributes = {name: dataset.attributes[name] for name in sorted(dataset.attributes)}
+    text = json.dumps({"ids": dataset.ids, "attributes": attributes}, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", dataset.N, dataset.T, dataset.J))
-        for r, (ident, weight) in enumerate(zip(dataset.ids, dataset.weights.tolist())):
-            _write_text(fh, ident)
-            fh.write(struct.pack("<d", weight))
-            carried = [(name, dataset.attributes[name][r]) for name in names
-                       if dataset.attributes[name][r] is not None]
-            fh.write(struct.pack("<I", len(carried)))
-            for name, value in carried:
-                _write_text(fh, name)
-                _write_text(fh, value)
-            fh.write(dataset.levels[r].tobytes())  # uint8, as J <= 256
+        fh.write(_HEADER.pack(_MAGIC, dataset.N, dataset.T, dataset.J, len(text)))
+        fh.write(np.ascontiguousarray(dataset.levels))  # uint8, as J <= 256; no copy when contiguous
+        fh.write(np.ascontiguousarray(dataset.weights, dtype="<f8"))
+        fh.write(text)
 
 
-def _read_exact(fh, n: int, rownum: int) -> bytes | bytearray:
-    # a field longer than _READ_CHUNK grows as its bytes arrive: its length prefix sizes no buffer
-    buf = fh.read(n) if n <= _READ_CHUNK else bytearray()
-    while len(buf) < n and (more := fh.read(min(n - len(buf), _READ_CHUNK))):
-        buf += more
-    if len(buf) != n:
-        raise DatasetError(f"malformed row {rownum}: truncated file")
-    return buf
-
-
-def _read_text(fh, rownum: int) -> str:
-    (size,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
-    try:
-        return _read_exact(fh, size, rownum).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"malformed row {rownum}: {exc}") from None
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError on a repeated key, where json.loads keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _load_binary(path) -> Dataset:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DatasetError("not a binary dataset file (bad magic)")
-        n, t, j = struct.unpack("<III", _read_exact(fh, 12, 0))
-        # sized by the rows actually read, never by the header's N * T
-        levels, ids, weights = bytearray(), [], []
-        cells: dict[str, dict[int, str]] = {}  # attribute -> {0-based row: value}
-        for rownum in range(1, n + 1):
-            ids.append(_read_text(fh, rownum))
-            weights.append(struct.unpack("<d", _read_exact(fh, 8, rownum))[0])
-            (n_attrs,) = struct.unpack("<I", _read_exact(fh, 4, rownum))
-            for _ in range(n_attrs):
-                key = _read_text(fh, rownum)
-                column = cells.setdefault(key, {})
-                if rownum - 1 in column:
-                    raise DatasetError(f"malformed row {rownum}: repeated attribute {key!r}")
-                column[rownum - 1] = _read_text(fh, rownum)
-            levels += _read_exact(fh, t, rownum)
-        if fh.read(1):
-            raise DatasetError("trailing bytes after final series")
-    attributes = {key: [column.get(r) for r in range(n)] for key, column in cells.items()}
-    return Dataset(np.frombuffer(levels, dtype=np.uint8).reshape(n, t), weights, ids, attributes, J=j)
+        head = fh.read(_HEADER.size)
+        if head[:4] != _MAGIC:
+            raise DatasetError(f"not a binary dataset file (magic {head[:4]!r}, expected {_MAGIC!r})")
+        if len(head) < _HEADER.size:
+            raise DatasetError("truncated file")
+        _, n, t, j, text_size = _HEADER.unpack(head)
+        size, actual = n * t + 8 * n + text_size, os.fstat(fh.fileno()).st_size - _HEADER.size
+        if actual != size:  # checked before any block is allocated
+            raise DatasetError("trailing bytes after final series" if actual > size else "truncated file")
+        levels, weights = np.empty((n, t), dtype=np.uint8), np.empty(n, dtype="<f8")
+        got = fh.readinto(levels) + fh.readinto(weights)
+        text = fh.read(text_size)
+    if got + len(text) != size:  # the file shrank after the size test
+        raise DatasetError("truncated file")
+    try:
+        block = json.loads(text.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise DatasetError(f"malformed id and attribute block: {exc}") from None
+    if (not isinstance(block, dict) or block.keys() != {"ids", "attributes"}
+            or not isinstance(block["ids"], list) or not isinstance(block["attributes"], dict)
+            or not all(isinstance(column, list) for column in block["attributes"].values())):
+        raise DatasetError('malformed id and attribute block: not {"ids": [...], "attributes": {name: [...]}}')
+    return Dataset(levels, weights, block["ids"], block["attributes"], J=j)

@@ -500,6 +500,23 @@ class TestExitCodes:
         assert "--cluster-names" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a/b", "a\0b"])
+    def test_an_attribute_that_cannot_title_a_file_is_a_usage_error(self, tmp_path, name, capsys):
+        base = generate_synthetic(2, 16, noise=0.05, seed=1)
+        data = tmp_path / "data.bin"  # the binary format keeps the name's NUL
+        save_dataset(Dataset(base.levels, base.weights, base.ids, {name: ["x"] * base.N}), data,
+                     format="binary")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n" + "".join(f"{ident},1\n" for ident in base.ids))
+        out = tmp_path / "o"
+        assert run_cli(
+            "summarize", "--input", str(data), "--format", "binary", "--labels", str(labels),
+            "--attributes", f"truth,{name}", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: bad --attributes entry {name!r}: a name is a non-empty file title without '/'\n")
+        assert not out.exists()
+
     def test_a_name_may_not_take_an_empty_clusters_title(self, data_csv, tmp_path, capsys):
         ids = [s.id for s in load_dataset(data_csv).series]
         labels = tmp_path / "labels.csv"  # clusters 1 and 3; cluster 2 is empty

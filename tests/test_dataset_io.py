@@ -6,21 +6,26 @@ For small CSV and binary files, well-formed or faulty:
   the Dataset, or the DatasetError message, of the csv.reader row loop;
 * `load_dataset` gives what that reference reader gives;
 * a dataset that loads, saved as CSV and as binary, loads back equal;
-* no reader or writer raises anything but DatasetError.
+* no reader or writer raises anything but DatasetError, and `cluster` and
+  `summarize` print its message on a file that does not load and exit 2.
 
 The files are UTF-8 text without NUL or a bare carriage return in an
 unquoted field: inputs outside that are csv.reader's or the codec's
 errors, pinned by tests/test_csv_io.py.
 """
 
+import contextlib
 import csv
+import io
+import json
 import struct
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from walshscape import DatasetError, load_dataset, save_dataset
+from walshscape import DatasetError, generate_synthetic, load_dataset, save_dataset
 from walshscape import series as series_module
+from walshscape.cli import main
 
 # a fixed profile: the same examples on every run, so tier-1 stays deterministic
 DIFFERENTIAL = settings(derandomize=True, max_examples=400, deadline=None, database=None,
@@ -28,8 +33,9 @@ DIFFERENTIAL = settings(derandomize=True, max_examples=400, deadline=None, datab
 
 CSV_FAULTS = ["none", "quoted head", "quoted cell", "multi-digit level", "odd level", "bad weight",
               "bad J", "duplicate id", "row length", "mixed endings", "cut short", "field over limit"]
-BINARY_FAULTS = ["none", "cut", "flip", "tail", "duplicate id", "bad weight", "bad UTF-8",
-                 "repeated attribute", "level out of range", "bad J"]
+BINARY_FAULTS = ["none", "cut", "flip", "trailing byte", "huge N*T", "bad UTF-8", "repeated key",
+                 "ids not a list", "missing key", "deep nesting", "non-string id", "duplicate id",
+                 "level out of range", "bad weight", "bad J"]
 
 
 def outcome(load, path):
@@ -90,33 +96,51 @@ def csv_files(draw):
 
 @st.composite
 def binary_files(draw):
-    """(fault, bytes) of a small CTS1 file: well-formed, or with one fault."""
+    """(fault, bytes) of a small binary dataset file: well-formed, or with one fault."""
     fault = draw(st.sampled_from(BINARY_FAULTS))
     n, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    j = draw(st.sampled_from([0, 1] if fault == "bad J" else [3, 256]))
-    data = bytearray(b"CTS1" + struct.pack("<III", n, t, j))
-    text = lambda value: struct.pack("<I", len(value)) + value  # noqa: E731
-    bad = draw(st.integers(0, n - 1))  # the row a row fault is in
-    for r in range(n):
-        faulty = lambda kind: fault == kind and r == bad  # noqa: E731
-        ident = f"p{max(r - 1, 0) if faulty('duplicate id') else r}é".encode()
-        data += text(ident[:-1] if faulty("bad UTF-8") else ident)  # half of the é
-        data += struct.pack("<d", draw(st.sampled_from([-1.0, float("nan")])) if faulty("bad weight") else 0.5)
-        keys = draw(st.lists(st.sampled_from([b"a", b"b"]), max_size=2, unique=True))
-        keys += keys[:1] if faulty("repeated attribute") else []
-        data += struct.pack("<I", len(keys))
-        for key in keys:
-            data += text(key) + text(draw(st.sampled_from([b"x", "ü".encode()])))
-        levels = draw(st.lists(st.integers(0, 2), min_size=t, max_size=t))
-        if faulty("level out of range") and j == 3:
-            levels[-1] = draw(st.sampled_from([3, 255]))
-        data += bytes(levels)
-    at = len(data) - 1 - draw(st.integers(0, len(data) - 1))  # counted from the end, into the rows
+    j = draw(st.sampled_from({"bad J": [0, 1], "level out of range": [3]}.get(fault, [3, 256])))
+    bad = draw(st.integers(0, n - 1))  # the row a value fault is in
+    ids = [f"p{r}é" for r in range(n)]
+    if fault == "duplicate id":
+        ids[bad] = ids[bad - 1]  # the last id for row 0; no fault when n is 1
+    elif fault == "non-string id":
+        ids[bad] = draw(st.sampled_from([5, 1.5, None, ["p"], {"p": 1}, True]))
+    weights = [0.5] * n
+    if fault == "bad weight":
+        weights[bad] = draw(st.sampled_from([-1.0, float("nan"), float("inf")]))
+    levels = [draw(st.lists(st.integers(0, 2), min_size=t, max_size=t)) for _ in range(n)]
+    if fault == "level out of range":
+        levels[bad][-1] = draw(st.sampled_from([3, 255]))
+    keys = draw(st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True))
+    columns = [(key, [draw(st.sampled_from(["x", "ü", None])) for _ in range(n)]) for key in keys]
+    entries = [f'"{key}": {json.dumps(column)}' for key, column in columns]
+    if fault == "repeated key" and entries and draw(st.booleans()):
+        entries.append(entries[-1])  # an attribute twice; otherwise a top-level key twice, below
+    block = {"ids": json.dumps(ids, ensure_ascii=False), "attributes": "{" + ", ".join(entries) + "}"}
+    if fault == "ids not a list":
+        block["ids"] = draw(st.sampled_from(['"p0"', "{}", "3", "null", '{"p0": 1}']))
+    elif fault == "missing key":
+        del block[draw(st.sampled_from(["ids", "attributes"]))]
+    elif fault == "deep nesting":  # beyond the JSON decoder's recursion limit
+        block[draw(st.sampled_from(["ids", "attributes"]))] = "[" * 10**5 + "]" * 10**5
+    pairs = [f'"{name}": {value}' for name, value in block.items()]
+    if fault == "repeated key" and len(entries) == len(keys):
+        pairs.append(draw(st.sampled_from(pairs)))
+    text = ("{" + ", ".join(pairs) + "}").encode("utf-8")
+    if fault == "bad UTF-8":
+        text = text.replace("é".encode(), "é".encode()[:1], 1)  # half of the first é
+    header = [n, t]
+    if fault == "huge N*T":  # more level bytes than the file holds
+        header = draw(st.sampled_from([[n, t + 1], [n + 1, t], [n, 2**31], [2**32 - 1, 2**32 - 1]]))
+    data = bytearray(struct.pack("<4sIIIQ", b"CTS2", *header, j, len(text)))
+    data += bytes(sum(levels, [])) + struct.pack(f"<{n}d", *weights) + text
+    at = len(data) - 1 - draw(st.integers(0, len(data) - 1))  # counted from the end
     if fault == "cut":
         del data[at:]
     elif fault == "flip":
         data[at] ^= 1 << draw(st.integers(0, 7))
-    elif fault == "tail":
+    elif fault == "trailing byte":
         data += b"\0"
     return fault, bytes(data)
 
@@ -127,7 +151,7 @@ def check_round_trips(loaded, folder):
         path = folder / f"saved.{fmt}"
         try:
             save_dataset(loaded, path, format=fmt)
-        except DatasetError as exc:  # CTS1 stores levels as bytes
+        except DatasetError as exc:  # the binary format stores levels as bytes
             assert fmt == "binary" and loaded.J > 256, exc
             continue
         assert outcome(lambda p: load_dataset(p, format=fmt), path) == outcome(lambda p: loaded, path)
@@ -149,3 +173,19 @@ def test_every_reader_and_writer_agree(tmp_path_factory, case):
     assert outcome(lambda p: load_dataset(p, format=fmt), path) == expected
     if expected[0] != "error":
         check_round_trips(load_dataset(path, format=fmt), folder)
+        return
+    for command in (["cluster", "--K", "1"], ["summarize", "--labels", str(folder / "labels.csv")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*command, "--input", str(path), "--format", fmt, "--out", str(folder / "out")])
+        assert (code, err.getvalue()) == (2, f"error: {expected[1]}\n")
+        assert not (folder / "out").exists()
+
+
+def test_a_binary_load_gives_writable_columns(tmp_path):
+    path = tmp_path / "data.bin"
+    save_dataset(generate_synthetic(2, 8, 0.1, seed=1), path, format="binary")
+    dataset = load_dataset(path, format="binary")
+    dataset.series[0].weight = 2.0
+    dataset.levels[0, 0] = 2
+    assert dataset.weights[0] == 2.0 and dataset.levels[0, 0] == 2

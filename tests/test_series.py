@@ -21,53 +21,69 @@ from walshscape import series as series_module
 from conftest import toy_dataset, traced_peak
 
 
-def binary_fields(rows, n=None, t=3, j=3):
-    """(row, bytes) of every field of a binary dataset file, header first.
+HEADER = struct.Struct("<4sIIIQ")  # magic, N, T, J, bytes of the JSON block
 
-    rows holds (id, weight, [(key, value)], levels) with ids, keys and
-    values as bytes, so that invalid UTF-8 can be written.
+
+def binary_file(rows, n=None, t=3, j=3, text=None) -> bytes:
+    """A binary dataset file of rows (id, weight, {key: value}, levels).
+
+    Ids, keys and values are bytes, and the JSON block is joined from them
+    by hand with json.dumps's separators, so that invalid UTF-8 can be
+    written; `text`, when given, is the JSON block instead.
     """
-    fields = [(0, b"CTS1"), (0, struct.pack("<III", len(rows) if n is None else n, t, j))]
-    for r, (ident, weight, attrs, levels) in enumerate(rows, start=1):
-        fields += [(r, struct.pack("<I", len(ident))), (r, ident), (r, struct.pack("<d", weight)),
-                   (r, struct.pack("<I", len(attrs)))]
-        for key, value in attrs:
-            fields += [(r, struct.pack("<I", len(key))), (r, key),
-                       (r, struct.pack("<I", len(value))), (r, value)]
-        fields.append((r, bytes(levels)))
-    return fields
+    quoted = lambda data: b'"' + data + b'"'  # noqa: E731
+    if text is None:
+        keys = sorted({key for _, _, attrs, _ in rows for key in attrs})
+        column = lambda key: b", ".join(  # noqa: E731
+            quoted(attrs[key]) if key in attrs else b"null" for _, _, attrs, _ in rows)
+        text = (b'{"ids": [' + b", ".join(quoted(row[0]) for row in rows) + b'], "attributes": {'
+                + b", ".join(quoted(key) + b": [" + column(key) + b"]" for key in keys) + b"}}")
+    header = HEADER.pack(b"CTS2", len(rows) if n is None else n, t, j, len(text))
+    return (header + b"".join(bytes(row[3]) for row in rows)
+            + b"".join(struct.pack("<d", row[1]) for row in rows) + text)
 
 
-def binary_file(rows, **header) -> bytes:
-    return b"".join(data for _, data in binary_fields(rows, **header))
-
-
-TWO_ROWS = [(b"r1", 1.0, [(b"ab", b"xy")], [0, 1, 2]), (b"r2", 2.0, [(b"ab", b"zw")], [2, 1, 0])]
-FIELD_NAMES = ["id_len", "id", "weight", "n_attrs", "key_len", "key", "value_len", "value", "levels"]
+TWO_ROWS = [(b"r1", 1.0, {b"ab": b"xy"}, [0, 1, 2]), (b"r2", 2.0, {b"cd": b"zw"}, [2, 1, 0])]
+# Where each field of a row sits in the JSON block of TWO_ROWS's file,
+# {"ids": ["r1", "r2"], "attributes": {"ab": ["xy", null], "cd": [null, "zw"]}}:
+# an id, key or value, the delimiter that opens it (`*_len`), and the null
+# slot of the attribute the row lacks (`n_attrs`).
+ROW_TEXT = {
+    1: {"id_len": b'["r1', "id": b"r1", "n_attrs": b"[null", "key_len": b'{"ab', "key": b"ab",
+        "value_len": b'["xy', "value": b"xy"},
+    2: {"id_len": b', "r2', "id": b"r2", "n_attrs": b", null", "key_len": b', "cd', "key": b"cd",
+        "value_len": b', "zw', "value": b"zw"},
+}
 
 
 def _truncated_inside_each_field():
-    fields = binary_fields(TWO_ROWS)
-    cases, offset = [], 0
-    for k, (row, data) in enumerate(fields):
-        if row:
-            name = FIELD_NAMES[(k - 2) % len(FIELD_NAMES)]
-            cut = offset + len(data) // 2  # every field here is at least 2 bytes long
-            cases.append(pytest.param(binary_file(TWO_ROWS)[:cut], f"malformed row {row}: truncated file",
-                                      id=f"row{row}-{name}"))
-        offset += len(data)
+    """The file of TWO_ROWS cut inside each field of each row: its levels,
+    its weight, and its parts of the JSON block."""
+    data, cases = binary_file(TWO_ROWS), []
+    for row, text in ROW_TEXT.items():
+        cuts = {name: data.index(needle) + len(needle) // 2 for name, needle in text.items()}
+        cuts["levels"] = HEADER.size + 3 * (row - 1) + 1
+        cuts["weight"] = HEADER.size + 6 + 8 * (row - 1) + 4
+        cases += [pytest.param(data[:cut], "^truncated file$", id=f"row{row}-{name}")
+                  for name, cut in cuts.items()]
     return cases
 
 
 BINARY_FAULTS = [
-    pytest.param(b"XTS1" + binary_file(TWO_ROWS)[4:], "bad magic", id="bad-magic"),
+    pytest.param(b"XTS1" + binary_file(TWO_ROWS)[4:],
+                 "^" + re.escape("not a binary dataset file (magic b'XTS1', expected b'CTS2')") + "$",
+                 id="bad-magic"),
+    # the earlier row-by-row layout: a header, then each row's length-prefixed id, weight and levels
+    pytest.param(b"CTS1" + struct.pack("<IIII", 1, 3, 3, 2) + b"r1" + struct.pack("<dI", 1.0, 0) + bytes(3),
+                 "^" + re.escape("not a binary dataset file (magic b'CTS1', expected b'CTS2')") + "$",
+                 id="cts1-magic"),
     *_truncated_inside_each_field(),
     pytest.param(binary_file(TWO_ROWS) + b"\0", "trailing bytes after final series", id="trailing-byte"),
-    pytest.param(binary_file([TWO_ROWS[0], (b"r2", 2.0, [(b"a", b"p"), (b"a", b"q")], [2, 1, 0])]),
-                 "^malformed row 2: repeated attribute 'a'$", id="repeated-attribute"),
-    # 16 bytes whose header claims N = T = 2**32 - 1: read row by row, not sized from the header
-    pytest.param(b"CTS1" + struct.pack("<III", 2**32 - 1, 2**32 - 1, 3), "malformed row 1: truncated file",
-                 id="huge-header"),
+    pytest.param(binary_file(TWO_ROWS, text=b'{"ids": ["r1", "r2"], '
+                                            b'"attributes": {"a": ["p", null], "a": [null, "q"]}}'),
+                 "^malformed id and attribute block: repeated key 'a'$", id="repeated-attribute"),
+    # 24 bytes whose header claims N = T = 2**32 - 1: refused by the file's size, before any allocation
+    pytest.param(HEADER.pack(b"CTS2", 2**32 - 1, 2**32 - 1, 3, 0), "^truncated file$", id="huge-header"),
 ]
 
 
@@ -115,7 +131,7 @@ def test_non_finite_weight_is_rejected_with_its_row(tmp_path, source, weight):
             load_dataset(path)
         elif source == "binary":
             path = tmp_path / "bad.bin"
-            path.write_bytes(binary_file([(b"p1", 1.0, [], [0, 1]), (b"p2", weight, [], [1, 0])], t=2))
+            path.write_bytes(binary_file([(b"p1", 1.0, {}, [0, 1]), (b"p2", weight, {}, [1, 0])], t=2))
             load_dataset(path, format="binary")
         else:
             Dataset([[0, 1], [1, 0]], [1.0, weight], ["p1", "p2"], {})
@@ -212,31 +228,33 @@ class TestRoundTrips:
             load_dataset(path, format="binary")
 
     @pytest.mark.parametrize("content", [
-        binary_file([(b"r1", 1.0, [], [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])], t=2**28),
-        b"CTS1" + struct.pack("<IIII", 1, 3, 3, 2**28) + b"r1" + bytes(8),
-    ], ids=["T", "id-length"])
+        binary_file([(b"r1", 1.0, {}, [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])], t=2**28),
+        HEADER.pack(b"CTS2", 1, 3, 3, 2**28) + bytes(3) + struct.pack("<d", 1.0) + b'{"ids": ["r1"]',
+        HEADER.pack(b"CTS2", 2**32 - 1, 2**32 - 1, 3, 0),
+    ], ids=["T", "id-length", "N-and-T"])
     def test_a_length_prefix_allocates_only_what_the_file_holds(self, tmp_path, content):
-        # a 2**28-byte claim followed by about 10 real bytes
+        # a header claiming a block of 2**28 bytes or more, followed by a few real bytes
         path = tmp_path / "bad.bin"
         path.write_bytes(content)
 
         def load():
-            with pytest.raises(DatasetError, match="^malformed row 1: truncated file$"):
+            with pytest.raises(DatasetError, match="^truncated file$"):
                 load_dataset(path, format="binary")
 
         assert traced_peak(load) < 2**20
 
     @pytest.mark.parametrize("field", ["id", "key", "value"])
     def test_binary_invalid_utf8_names_its_row(self, tmp_path, field):
+        # the JSON block is decoded whole, so the message names the block, not the row
         text = {"id": b"r2", "key": b"ab", "value": b"zw", field: b"\xff\xfe"}
         path = tmp_path / "bad.bin"
-        path.write_bytes(binary_file([TWO_ROWS[0], (text["id"], 2.0, [(text["key"], text["value"])], [2, 1, 0])]))
-        with pytest.raises(DatasetError, match="malformed row 2: .*utf-8"):
+        path.write_bytes(binary_file([TWO_ROWS[0], (text["id"], 2.0, {text["key"]: text["value"]}, [2, 1, 0])]))
+        with pytest.raises(DatasetError, match="^malformed id and attribute block: 'utf-8' codec can't decode"):
             load_dataset(path, format="binary")
 
     def test_binary_zero_length_series_rejected_at_load(self, tmp_path):
         path = tmp_path / "empty.bin"
-        path.write_bytes(binary_file([(b"r1", 1.0, [], [])], t=0))
+        path.write_bytes(binary_file([(b"r1", 1.0, {}, [])], t=0))
         with pytest.raises(DatasetError, match="T must be positive"):
             load_dataset(path, format="binary")
 
@@ -250,16 +268,11 @@ class TestRoundTrips:
             b"s2,1.0,3,m,25k-55k,,1,0,0,1\r\n"
         )
         assert (tmp_path / "data.bin").read_bytes() == (
-            b"CTS1\x03\x00\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00"
-            b"\x02\x00\x00\x00s0\x9a\x99\x99\x99\x99\x99\xb9?\x02\x00\x00\x00"
-            b"\x06\x00\x00\x00gender\x01\x00\x00\x00f\x04\x00\x00\x00wave\x04\x00\x00\x001995"
-            b"\x00\x01\x02\x00"
-            b"\x02\x00\x00\x00s1\x00\x00\x00\x00\x00\x00\x04@\x01\x00\x00\x00"
-            b"\x04\x00\x00\x00wave\x04\x00\x00\x002017"
-            b"\x02\x02\x01\x00"
-            b"\x02\x00\x00\x00s2\x00\x00\x00\x00\x00\x00\xf0?\x02\x00\x00\x00"
-            b"\x06\x00\x00\x00gender\x01\x00\x00\x00m\x06\x00\x00\x00income\x07\x00\x00\x0025k-55k"
-            b"\x01\x00\x00\x01"
+            b"CTS2\x03\x00\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00\x8a\x00\x00\x00\x00\x00\x00\x00"
+            b"\x00\x01\x02\x00\x02\x02\x01\x00\x01\x00\x00\x01"
+            b"\x9a\x99\x99\x99\x99\x99\xb9?\x00\x00\x00\x00\x00\x00\x04@\x00\x00\x00\x00\x00\x00\xf0?"
+            b'{"ids": ["s0", "s1", "s2"], "attributes": {"gender": ["f", null, "m"], '
+            b'"income": [null, null, "25k-55k"], "wave": ["1995", "2017", null]}}'
         )
 
 
