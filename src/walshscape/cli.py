@@ -23,7 +23,8 @@ import numpy as np
 
 from .dcc import DEFAULT_MAX_ROUNDS, ProtocolError, elbow_sweep, run_dcc
 from .features import DEFAULT_LANDSCAPE_LENGTH
-from .series import DatasetError, generate_synthetic, load_dataset, make_shard_plan, save_dataset
+from .series import DatasetError, generate_synthetic, load_dataset, save_dataset
+from .series import make_shard_plan  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .summarize import composition_table, minute_proportions
 
 ENV_PREFIX = "WALSHSCAPE_"
@@ -195,11 +196,10 @@ def cmd_cluster(args) -> None:
     dataset = load_dataset(args.input, format=args.format)
     result = run_dcc(dataset, k=args.K, s=args.S, length=args.L, seed=args.seed,
                      max_rounds=args.I, transport=args.transport)
-    order = np.concatenate(make_shard_plan(dataset.N, args.S, args.seed))
 
     labels_csv = _csv_text([("id", "label"), *zip(dataset.ids, result.labels.tolist())])
     order_csv = "position,original_index\n" + "".join(
-        f"{pos},{orig}\n" for pos, orig in enumerate(order.tolist())
+        f"{pos},{orig}\n" for pos, orig in enumerate(result.order.tolist())
     )
     metrics = {
         "K": args.K, "S": args.S, "L": args.L, "I": args.I, "seed": args.seed,

@@ -64,8 +64,10 @@ class RoundMessage:
 class ClusterResult:
     """Outcome of one divide-and-combine run.
 
-    labels are in 1..K and aligned to the dataset's ingestion order;
-    wcss is the sum over shards; centroids is the last consensus set the
+    labels are in 1..K and aligned to the dataset's ingestion order; order
+    is the shards' index arrays concatenated, the sampling order the run
+    drew (`make_shard_plan`), which `cluster` writes as order.csv; wcss is
+    the sum over shards; centroids is the last consensus set the
     coordinator computed; worker_centroids/wcss_per_shard keep each
     worker's final state so the total is auditable.  A run that can never
     converge because its consensus sets repeat reports the round where the
@@ -74,6 +76,7 @@ class ClusterResult:
     """
 
     labels: np.ndarray
+    order: np.ndarray
     wcss: float
     centroids: CentroidSet
     rounds_used: int
@@ -251,10 +254,12 @@ def _cluster(prepared, k: int, seed: int, max_rounds: int, run_rounds) -> Cluste
      cycle_start, cycle_period) = run_rounds(matrices, k, seed, max_rounds)
     kmeans_seconds = time.perf_counter() - t0
     per_shard = tuple(a.wcss for a in assignments)
-    labels = np.empty(sum(map(len, shards)), dtype=np.int64)  # Assignment's label dtype
-    labels[np.concatenate(shards)] = np.concatenate([a.labels for a in assignments])
+    order = np.concatenate(shards)
+    labels = np.empty(len(order), dtype=np.int64)  # Assignment's label dtype
+    labels[order] = np.concatenate([a.labels for a in assignments])
     return ClusterResult(
         labels=labels,
+        order=order,
         wcss=wcss_total(per_shard),
         centroids=consensus,
         rounds_used=rounds_used,

@@ -27,22 +27,20 @@ feature pipeline keeps only each row's min and max (`features.local_ranges`).
 
 Integer input (category levels) whose bound max|x| * T2 is below 2**24
 takes an exact path instead; other integers run the butterfly as floats do.
-Sylvester's construction H_2n = H_2 (x) H_n gives H_T2 = H_p (x) H_q for
-p*q = T2, so a row x reshaped to a (p, q) matrix X has natural-order
-coefficients Y = H_p X H_q, with Y[c, d] at index c*q + d.  Reversing the
-n bits of that index gives rev_q(d)*p + rev_p(c), so the bit-reversal
-permutation folds into the two constant factors: with R the bit-reversal
-permutation matrices, D = (R_p H_p) X (H_q R_q) holds the sequency
-coefficient e*p + c at D[c, e], and the transpose of D is the row in
+Write W_n for the table of order n and T2 = p*q with p and q powers of two.
+Sylvester's construction H_T2 = H_p (x) H_q, read through the bit-reversed
+sequency index, gives W_T2(a*q + b, e*p + c) = W_p(a, c) * W_q(b, e) for
+a, c < p and b, e < q.  So a row x reshaped to a (p, q) matrix X has the
+coefficient e*p + c at [c, e] of W_p^T X W_q, and as every Walsh table is
+symmetric, D = W_p X W_q holds it there: the transpose of D is the row in
 sequency order.  Two float32 BLAS products per row block then write the
 result with no gather.  Every product and partial sum is an integer of
 magnitude at most max|x| * T2, which float32 holds exactly, so the
 coefficients are exact whatever order BLAS adds in and equal the float64
 butterfly's bit for bit; the division by sqrt(T2) that follows is the same
-float64 division on both paths.  A zero sum is +0.0 on both paths: column 0
-of R_p H_p and row 0 of H_q R_q are all +1 (permuting the rows of H keeps
-its all-ones column 0, permuting the columns its all-ones row 0), so each
-sum of either product holds a +0.0 or a nonzero term.
+float64 division on both paths.  A zero sum is +0.0 on both paths: row 0
+and column 0 of W are all +1, so each sum of either product holds a +0.0 or
+a nonzero term.
 """
 
 from __future__ import annotations
@@ -114,25 +112,13 @@ def _bit_reversal(n_bits: int) -> np.ndarray:
     return rev
 
 
-def _hadamard(n_bits: int) -> np.ndarray:
-    """Natural-order float32 Hadamard matrix of order 2**n_bits, by Sylvester's construction."""
-    h2 = np.array([[1, 1], [1, -1]], dtype=np.float32)
-    h = np.ones((1, 1), dtype=np.float32)
-    for _ in range(n_bits):
-        h = np.kron(h2, h)
-    return h
-
-
 @lru_cache(maxsize=32)
 def _sequency_factors(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R_p H_p, H_q R_q) for T2 = 2**n_bits = p * q with p = 2**(n_bits // 2):
-    the Hadamard factors with the rows of the first and the columns of the
-    second in bit-reversed order (see the module docstring), both C-ordered
-    (products with the F-ordered column gather took 1.4 times as long)."""
+    """(W_p, W_q) for T2 = 2**n_bits = p * q with p = 2**(n_bits // 2): the
+    Walsh tables of orders p and q (see the module docstring) as read-only,
+    C-ordered float32 copies."""
     p_bits = n_bits // 2
-    q_bits = n_bits - p_bits
-    left = _hadamard(p_bits)[_bit_reversal(p_bits)]
-    right = np.ascontiguousarray(_hadamard(q_bits)[:, _bit_reversal(q_bits)])
+    left, right = (walsh_matrix(1 << bits).astype(np.float32) for bits in (p_bits, n_bits - p_bits))
     left.setflags(write=False)
     right.setflags(write=False)
     return left, right
@@ -166,9 +152,9 @@ def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
     two.  One series x is the row of x[None].
 
     An integer matrix whose bound max|x| * T2 is below 2**24 is transformed
-    exactly as (R_p H_p) X (H_q R_q) by two float32 matrix products per
-    block of at most _BLOCK_ELEMENTS levels (see the module docstring),
-    bit-identical to the butterfly that every other matrix runs.
+    exactly as W_p X W_q by two float32 matrix products per block of at most
+    _BLOCK_ELEMENTS levels (see the module docstring), bit-identical to the
+    butterfly that every other matrix runs.
     """
     matrix = np.asarray(matrix)
     t2 = matrix.shape[-1]

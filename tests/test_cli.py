@@ -3,6 +3,8 @@ import builtins
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import walshscape.cli as cli_module
+import walshscape.dcc as dcc_module
 from walshscape import (
     Dataset,
     generate_synthetic,
@@ -633,7 +636,7 @@ def test_centroid_and_proportion_files_are_pinned(tmp_path, monkeypatch):
     # the smallest subnormal, with the minute column counting 0..T-1
     values = [0.0, 1.0, 0.1, 1 / 3, 5e-324]
     table = np.array([values[i:] + values[:i] for i in range(5)])
-    result = SimpleNamespace(labels=np.ones(3, dtype=np.int64),
+    result = SimpleNamespace(labels=np.ones(3, dtype=np.int64), order=np.arange(3),
                              centroids=SimpleNamespace(centroids=np.array([values, values[::-1]])),
                              wcss=0.0, wcss_per_shard=[0.0], rounds_used=1, converged=True,
                              cycle_start=None, cycle_period=None, feature_seconds=0.0, kmeans_seconds=0.0)
@@ -665,6 +668,56 @@ def test_order_csv_equals_the_numpy_scalar_formatting(data_csv, tmp_path):
     order = np.concatenate(make_shard_plan(120, 4, 2))
     expected = "position,original_index\n" + "".join(f"{pos},{orig}\n" for pos, orig in enumerate(order))
     assert (out / "order.csv").read_text() == expected
+
+
+def test_a_cluster_run_draws_its_shard_order_once(data_csv, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_shard_plan(*args)
+
+    monkeypatch.setattr(dcc_module, "make_shard_plan", counted)
+    monkeypatch.setattr(cli_module, "make_shard_plan", counted)
+    assert run_cli("cluster", "--input", str(data_csv), "--K", "3", "--S", "4", "--seed", "2",
+                   "--out", str(tmp_path / "run")) == 0
+    assert calls == [(120, 4, 2)]
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel_or_its_threads(data_csv, tmp_path, record_property):
+    # K=4 oscillates with period 2 on this data, so the cycle skip runs too;
+    # OPENBLAS_VERBOSE=2 makes OpenBLAS name the kernel it picked on stderr
+    script = (
+        "import sys; from walshscape.cli import main; out, data = sys.argv[1:]; "
+        "run = ['--input', data, '--S', '2', '--seed', '2']; "
+        "sys.exit(main(['cluster', '--K', '4', *run, '--out', out + '/cluster'])"
+        " or main(['elbow', '--K', '2-4', *run, '--out', out + '/elbow']))"
+    )
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    outputs, cores = {}, {}
+    for coretype in (None, "Prescott", "Sandybridge"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                       OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS=threads)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = tmp_path / f"{coretype}-{threads}"
+            done = subprocess.run([sys.executable, "-c", script, str(out), str(data_csv)], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            cores[coretype, threads] = [line for line in done.stderr.splitlines() if line.startswith("Core:")]
+            elbow = [row.split(",") for row in (out / "elbow" / "elbow.csv").read_text().splitlines()]
+            outputs[coretype, threads] = (
+                (out / "cluster" / "labels.csv").read_bytes(),
+                (out / "cluster" / "centroids.csv").read_bytes(),
+                [row[:2] + row[4:] for row in elbow],  # all but the two timer columns
+            )
+    record_property("openblas_cores", repr(cores))
+    reference = outputs[None, "1"]
+    assert (reference[2][-1][0], reference[2][-1][-1]) == ("4", "2")
+    for config, files in outputs.items():
+        assert files == reference, (config, cores[config])
 
 
 def _walk_titles(names, k):

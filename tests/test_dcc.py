@@ -400,8 +400,8 @@ class TestElbowSweep:
                 if field.name in ("feature_seconds", "kmeans_seconds"):
                     continue
                 a, b = getattr(swept, field.name), getattr(single, field.name)
-                if field.name == "labels":
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                if field.name in ("labels", "order"):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field.name
                 elif field.name == "centroids":
                     assert a.centroids.tobytes() == b.centroids.tobytes()
                 elif field.name == "worker_centroids":

@@ -69,6 +69,11 @@ class TestWalshValue:
         assert np.array_equal(w @ w.T, identity)
         assert np.array_equal(w.T @ w, identity)
 
+    @pytest.mark.parametrize("n_bits", range(11))
+    def test_table_is_symmetric(self, n_bits):
+        w = walsh_matrix(1 << n_bits)
+        assert np.array_equal(w, w.T)
+
     def test_values_are_plus_minus_one(self):
         w = walsh_matrix(32)
         assert set(np.unique(w)) == {-1, 1}
@@ -183,6 +188,14 @@ class TestIntegerPath:
             m = rng.integers(-cap if signed else 0, cap, size=(rows, t2), endpoint=True)
         m[rng.integers(rows), rng.integers(t2)] = -cap if signed else cap  # the bound is exactly cap * T2
         assert fast_wft_batch(m).tobytes() == fast_wft_batch(m.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("n_bits", range(17))
+    def test_factors_are_the_walsh_tables_of_the_two_halves(self, n_bits):
+        p_bits = n_bits // 2
+        factors = wft_module._sequency_factors(n_bits)
+        for factor, bits in zip(factors, (p_bits, n_bits - p_bits)):
+            assert factor.dtype == np.float32 and factor.flags.c_contiguous and not factor.flags.writeable
+            assert np.array_equal(factor, walsh_matrix(1 << bits))
 
     def test_small_levels_skip_the_butterfly(self, monkeypatch, rng):
         monkeypatch.setattr(wft_module, "_fwht_natural", None)  # any butterfly call fails
