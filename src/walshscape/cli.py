@@ -232,15 +232,11 @@ def cmd_elbow(args) -> None:
     dataset = load_dataset(args.input, format=args.format)
     points = elbow_sweep(dataset, k_list, s=args.S, length=args.L, seed=args.seed, max_rounds=args.I)
     header = ("K", "wcss", "feature_seconds", "kmeans_seconds", "rounds_used", "converged", "cycle_period")
-    rows = [(f"{p.K}", f"{p.wcss:.17g}", f"{p.feature_seconds:.3f}", f"{p.kmeans_seconds:.3f}",
-             f"{p.rounds_used}", f"{p.converged}", f"{p.cycle_period or ''}") for p in points]
-    _write_outputs(args.out, {
-        "elbow.csv": "".join(",".join(row) + "\n" for row in [header, *rows]),
-        # the long table pivots the wide rows: one (K, metric, value) row per field
-        "elbow_long.csv": "K,metric,value\n" + "".join(
-            f"{row[0]},{metric},{value}\n" for row in rows for metric, value in zip(header[1:], row[1:])
-        ),
-    })
+    rows = [(p.K, f"{p.wcss:.17g}", f"{p.feature_seconds:.3f}", f"{p.kmeans_seconds:.3f}",
+             p.rounds_used, p.converged, p.cycle_period or "") for p in points]
+    long_rows = [(row[0], metric, value) for row in rows for metric, value in zip(header[1:], row[1:])]
+    _write_outputs(args.out, {"elbow.csv": _csv_text([header, *rows]),
+                              "elbow_long.csv": _csv_text([("K", "metric", "value"), *long_rows])})
     for p in points:
         print(f"K={p.K} wcss={p.wcss:.6g} ({p.feature_seconds:.3f}s FE + {p.kmeans_seconds:.3f}s K-means)")
 
@@ -308,23 +304,18 @@ def _check_titles(names: dict[int, str], k: int) -> None:
     """Raise UsageError if two of clusters 1..k, empty or not, share a title.
 
     Only named clusters can clash: with each other, or with the unnamed
-    cluster m whose default title cluster<m> one of them takes.  The clash
-    reported is the first that a walk over 1..k would meet, without the walk.
+    cluster m whose default title cluster<m> one of them takes (no m whose
+    digits outnumber k's).  Walking just these in increasing order meets
+    the first repeat that a walk over 1..k would meet.
     """
-    holders: dict[str, list[int]] = {}
-    for cluster, name in names.items():
-        if cluster <= k:
-            holders.setdefault(name, []).append(cluster)
-    for name, clusters in holders.items():
-        default = re.fullmatch(r"cluster([1-9][0-9]*)", name)
-        if default and len(default[1]) <= len(str(k)):  # no int() of a long digit string
-            m = int(default[1])
-            if m <= k and m not in names:
-                clusters.append(m)
-    clashes = [(sorted(clusters)[:2], name) for name, clusters in holders.items() if len(clusters) > 1]
-    if clashes:
-        (first, second), name = min(clashes, key=lambda clash: clash[0][1])
-        raise UsageError(f"--cluster-names gives clusters {first} and {second} the same title {name!r}")
+    defaults = (re.fullmatch(r"cluster([1-9][0-9]*)", name) for name in names.values())
+    reach = set(names) | {int(d[1]) for d in defaults if d and len(d[1]) <= len(str(k))}
+    seen: dict[str, int] = {}
+    for cluster in sorted(c for c in reach if c <= k):
+        if (title := _title(names, cluster)) in seen:
+            raise UsageError(f"--cluster-names gives clusters {seen[title]} and {cluster} "
+                             f"the same title {title!r}")
+        seen[title] = cluster
 
 
 def cmd_summarize(args) -> None:
@@ -361,6 +352,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_env_choices(args)
+        if getattr(args, "seed", 0) < 0:  # before the load: numpy's seeding would refuse it after
+            raise UsageError(f"argument --seed: expected a non-negative integer, got {args.seed}")
         args.func(args)
         return EXIT_OK
     except UsageError as exc:

@@ -181,8 +181,9 @@ def coordinate_rounds(
     """The coordinator's round loop, shared by both transports.
 
     exchange(i, consensus) runs round i on every worker (consensus is None
-    in round 1) and returns the reports in worker order; finish() ends the
-    workers and returns their retained assignments in worker order.
+    in round 1) and returns the reports, whose (worker, round, K, L) must
+    be (wid, i, k, the shard's L) for wid 1..S in order, else ProtocolError;
+    finish() ends the workers and returns their retained assignments.
 
     From round 2 on, the last two consensus sets fix everything that
     follows, so once their bytes repeat an earlier pair the loop skips the
@@ -201,9 +202,9 @@ def coordinate_rounds(
     while i < max_rounds:
         i += 1
         messages = exchange(i, consensus)
-        reports = [(m.worker_id, m.round) for m in messages]
-        if reports != [(wid, i) for wid in range(1, len(matrices) + 1)]:
-            raise ProtocolError(f"round {i} needs one report per worker in order, got {reports}")
+        reports = [(m.worker_id, m.round, m.centroids.K, m.centroids.L) for m in messages]
+        if reports != [(wid, i, k, rows.shape[1]) for wid, rows in enumerate(matrices, start=1)]:
+            raise ProtocolError(f"round {i} needs (worker, round, K, L) reports in worker order, got {reports}")
         converged = all(m.flag == 0 for m in messages)
         if converged:
             break

@@ -17,13 +17,15 @@ exchange length-prefixed binary frames (all integers little endian):
     kind 4 RESULT  (worker -> coordinator)
         u32 worker_id, u32 n, n*u32 labels (1-based), f64 wcss
 
-A worker computes its first round immediately after SETUP; afterwards it
-answers every ROUND broadcast with its own ROUND report until STOP, then
-sends RESULT; its Lloyd budget is `kmeans.lloyd`'s default.  The
-coordinator runs `dcc.coordinate_rounds`, as the in-process transport
-does, and doubles travel bit-exactly, so both give identical results.  A
-frame of the wrong kind or length, a payload over the u32 length prefix,
-a flag byte other than 0 or 1, and a failed send or receive (a worker
+A worker computes round 1 right after SETUP, answers each ROUND broadcast
+with a ROUND report until STOP, then sends RESULT; its Lloyd budget is
+`kmeans.lloyd`'s default.  The coordinator forks all S workers, then runs
+`dcc.coordinate_rounds` as the in-process transport does; doubles travel
+bit-exactly, so both give identical results.  A frame of the wrong kind
+or length, a payload over the u32 length prefix, a flag byte other than 0
+or 1, a reply unlike its request (a report whose worker, round, K or L
+differs; a RESULT of another worker, not one label in 1..K per shard row,
+or a WCSS not finite and >= 0) and a failed send or receive (a worker
 that died, or was silent for `_TIMEOUT` s) raise ProtocolError naming the
 worker: CLI exit 3; replies are read in worker order after all sends, a
 failed send raised at its worker's turn, so the lowest-numbered failing
@@ -217,14 +219,6 @@ def run_socket_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds:
     pids: list[int] = []
 
     def exchange(i: int, consensus: CentroidSet | None) -> list[RoundMessage]:
-        if i == 1:  # start the workers; the child's end of each pair closes here at once
-            for _ in matrices:
-                ours, theirs = socket.socketpair()
-                conns.append(ours)
-                with theirs:
-                    for end in (ours, theirs):
-                        end.settimeout(_TIMEOUT)
-                    pids.append(_fork_worker(theirs, conns))
         frames = (pack_setup(wid, k, derive_seed(seed, wid), rows) if i == 1 else
                   pack_round(RoundMessage(worker_id=wid, round=i, centroids=consensus, flag=1))
                   for wid, rows in enumerate(matrices, start=1))
@@ -234,9 +228,20 @@ def run_socket_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds:
         worker_id, labels, wcss = unpack_result(_recv_kind(conn, KIND_RESULT))
         if worker_id != wid:
             raise ProtocolError(f"RESULT names worker {worker_id}")
+        if (len(labels) != len(matrices[wid - 1]) or np.any((labels < 1) | (labels > k))
+                or not 0 <= wcss < np.inf):
+            raise ProtocolError(f"RESULT needs {len(matrices[wid - 1])} labels in 1..{k}, WCSS in [0, inf); "
+                                f"got {len(labels)} labels {np.unique(labels)[:10].tolist()}, WCSS {wcss!r}")
         return Assignment(labels=labels, wcss=wcss)
 
     try:
+        for _ in matrices:  # start the workers; the child's end of each pair closes here at once
+            ours, theirs = socket.socketpair()
+            conns.append(ours)
+            with theirs:
+                for end in (ours, theirs):
+                    end.settimeout(_TIMEOUT)
+                pids.append(_fork_worker(theirs, conns))
         return coordinate_rounds(matrices, k, seed, max_rounds, exchange,
                                  lambda: _exchange(conns, (struct.pack("<B", KIND_STOP) for _ in conns), result))
     except (OSError, struct.error) as exc:

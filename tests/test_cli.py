@@ -582,6 +582,40 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert len(list(out.glob("proportions_*.csv"))) == 3
 
+    @pytest.mark.parametrize("command", ["synth", "cluster", "elbow"])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "environment"])
+    def test_a_negative_seed_is_a_usage_error_before_any_load(
+            self, data_csv, tmp_path, monkeypatch, capsys, command, from_env):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("load_dataset", "generate_synthetic"):
+            monkeypatch.setattr(cli_module, name, refuse)
+        args = {
+            "synth": ("--n", "2", "--T", "8"),
+            "cluster": ("--input", str(data_csv), "--K", "3"),
+            "elbow": ("--input", str(data_csv), "--K", "2,3"),
+        }[command]
+        if from_env:
+            monkeypatch.setenv("WALSHSCAPE_SEED", "-1")
+        else:
+            args += ("--seed", "-1")
+        out = tmp_path / "o"
+        assert run_cli(command, *args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == ("usage error: argument --seed: "
+                                           "expected a non-negative integer, got -1\n")
+        assert not out.exists()
+
+    def test_a_negative_env_seed_leaves_summarize_alone(self, data_csv, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        assert run_cli("cluster", "--input", str(data_csv), "--out", str(run), "--K", "3") == 0
+        monkeypatch.setenv("WALSHSCAPE_SEED", "-1")
+        capsys.readouterr()
+        out = tmp_path / "summary"
+        assert run_cli(
+            "summarize", "--input", str(data_csv), "--labels", str(run / "labels.csv"), "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["synth", "cluster", "elbow", "summarize"])
     @pytest.mark.parametrize("name, value, allowed", [
@@ -753,3 +787,10 @@ def test_title_check_reports_the_clash_a_walk_would_meet(names, k):
 def test_title_check_takes_a_long_digit_name_as_a_plain_name():
     # int() refuses digit strings this long; no cluster <= K can own the title
     _check_titles({1: "cluster" + "9" * 5000, 2: "night"}, 10**9)
+
+
+def test_title_check_walks_only_the_clusters_a_name_can_reach():
+    # a walk over 1..k would take a billion steps to meet cluster 5
+    with pytest.raises(UsageError) as raised:
+        _check_titles({5: "cluster2"}, 10**9)
+    assert str(raised.value) == "--cluster-names gives clusters 2 and 5 the same title 'cluster2'"

@@ -351,6 +351,19 @@ class TestRunDcc:
                 matrices, 1, 0, 5, lambda i, consensus: [report(2), report(1)], list
             )
 
+    def test_a_report_of_the_wrong_k_is_a_protocol_fault(self):
+        def report(wid, k):
+            centroids = CentroidSet(centroids=np.full((k, 2), float(wid)))
+            return RoundMessage(worker_id=wid, round=1, centroids=centroids, flag=1)
+
+        matrices = [feature_matrix([[0.0, 0.0]]), feature_matrix([[1.0, 1.0]])]
+        with pytest.raises(ProtocolError) as raised:
+            dcc_module.coordinate_rounds(
+                matrices, 1, 0, 5, lambda i, consensus: [report(1, 1), report(2, 2)], list
+            )
+        assert str(raised.value) == ("round 1 needs (worker, round, K, L) reports in worker order, "
+                                     "got [(1, 1, 1, 2), (2, 1, 2, 2)]")
+
 
 class TestElbowSweep:
     def test_single_cluster_single_shard_matches_grand_sse(self):

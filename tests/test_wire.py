@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import socket
@@ -6,12 +7,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshscape.dcc as dcc_module
 import walshscape.wire as wire
-from walshscape import CentroidSet, ProtocolError, RoundMessage, generate_synthetic, run_dcc
+from walshscape import CentroidSet, ProtocolError, RoundMessage, generate_synthetic, run_dcc, save_dataset
 from walshscape.cli import main
 from walshscape.wire import (
     pack_result,
@@ -323,3 +324,109 @@ class TestSocketTransport:
         dataset = generate_synthetic(5, 32, noise=0.0, seed=0)
         with pytest.raises(ValueError, match="transport"):
             run_dcc(dataset, k=2, s=2, transport="carrier-pigeon")
+
+
+class TestReplyChecks:
+    """A reply that does not match its request is a protocol fault that names its worker."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(30, 64, noise=0.05, seed=7)  # 90 series: two shards of 45 at S=2
+
+    @staticmethod
+    def second_worker_sends(fault):
+        """A pack_result whose worker 2 sends fault(labels, wcss) in its RESULT."""
+        real = wire.pack_result
+        return lambda wid, labels, wcss: real(wid, *(fault(labels, wcss) if wid == 2 else (labels, wcss)))
+
+    @needs_fork
+    @pytest.mark.parametrize("fault, got", [
+        (lambda labels, wcss: (labels[:-1], wcss), "got 44 labels [1, 2, 3], WCSS "),
+        (lambda labels, wcss: (np.r_[0, labels[1:]], wcss), "got 45 labels [0, 1, 2, 3], WCSS "),
+        (lambda labels, wcss: (np.r_[labels[:-1], 4], wcss), "got 45 labels [1, 2, 3, 4], WCSS "),
+        (lambda labels, wcss: (labels, float("nan")), "got 45 labels [1, 2, 3], WCSS nan"),
+        (lambda labels, wcss: (labels, -1.0), "got 45 labels [1, 2, 3], WCSS -1.0"),
+    ], ids=["one label short", "label 0", "label K+1", "NaN WCSS", "negative WCSS"])
+    def test_a_bad_result_names_its_worker(self, monkeypatch, dataset, fault, got):
+        monkeypatch.setattr(wire, "pack_result", self.second_worker_sends(fault))
+        with pytest.raises(ProtocolError) as raised:
+            run_dcc(dataset, k=3, s=2, length=20, seed=5, transport="socket")
+        assert str(raised.value).startswith(f"worker 2: RESULT needs 45 labels in 1..3, WCSS in [0, inf); "
+                                            f"{got}")
+
+    @needs_fork
+    def test_a_result_that_names_another_worker_is_a_protocol_fault(self, monkeypatch, dataset):
+        real = wire.pack_result
+        monkeypatch.setattr(wire, "pack_result",
+                            lambda wid, labels, wcss: real(1 if wid == 2 else wid, labels, wcss))
+        with pytest.raises(ProtocolError, match=r"^worker 2: RESULT names worker 1$"):
+            run_dcc(dataset, k=3, s=2, length=20, seed=5, transport="socket")
+
+    @needs_fork
+    @pytest.mark.parametrize("reshape, k, length", [
+        (lambda c: np.vstack([c, c[:1]]), 4, 20),
+        (lambda c: c[:, :-1], 3, 19),
+    ], ids=["K+1 centroids", "L-1 columns"])
+    def test_a_report_of_the_wrong_shape_names_its_worker(self, monkeypatch, dataset, reshape, k, length):
+        real = wire.worker_round
+
+        def reshaped(*args, **kwargs):
+            message, kept = real(*args, **kwargs)
+            if kwargs["worker_id"] == 2 and args[4] == 2:
+                centroids = CentroidSet(reshape(message.centroids.centroids))
+                message = dataclasses.replace(message, centroids=centroids)
+            return message, kept
+
+        monkeypatch.setattr(wire, "worker_round", reshaped)
+        with pytest.raises(ProtocolError) as raised:
+            run_dcc(dataset, k=3, s=2, length=20, seed=5, transport="socket")
+        assert str(raised.value) == ("round 2 needs (worker, round, K, L) reports in worker order, "
+                                     f"got [(1, 2, 3, 20), (2, 2, {k}, {length})]")
+
+    @needs_fork
+    def test_a_bad_result_exits_3_and_writes_nothing(self, monkeypatch, dataset, tmp_path, capsys):
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+        save_dataset(dataset, str(data))
+        labels_above_k = self.second_worker_sends(lambda labels, wcss: (labels + 3, wcss))
+        monkeypatch.setattr(wire, "pack_result", labels_above_k)
+        code = main(["cluster", "--input", str(data), "--out", str(out), "--K", "3", "--S", "2",
+                     "--L", "20", "--transport", "socket"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("protocol fault: worker 2: RESULT needs 45 labels in 1..3, "
+                                                  "WCSS in [0, inf); got 45 labels [4, 5, 6], WCSS ")
+        assert not out.exists()
+
+
+def assert_equal_but_for_the_timers(a, b):
+    """Every ClusterResult field bit for bit, the two timers aside."""
+    for field in dataclasses.fields(a):
+        if field.name in ("feature_seconds", "kmeans_seconds"):
+            continue
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        elif field.name == "centroids":
+            assert (x.centroids.shape, x.centroids.tobytes()) == (y.centroids.shape, y.centroids.tobytes())
+        elif field.name == "worker_centroids":
+            assert [(c.centroids.shape, c.centroids.tobytes()) for c in x] == [
+                (c.centroids.shape, c.centroids.tobytes()) for c in y
+            ]
+        else:
+            assert x == y, field.name
+
+
+@needs_fork
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(
+    n=st.integers(2, 12), t=st.sampled_from([16, 32, 64, 96]), noise=st.floats(0.02, 0.3),
+    data_seed=st.integers(0, 999), k=st.integers(1, 5), s=st.integers(1, 3),
+    max_rounds=st.integers(1, 12), seed=st.integers(0, 2**32),
+)
+@example(n=20, t=96, noise=0.05, data_seed=7, k=4, s=2, max_rounds=8, seed=3)  # period 2 from round 3
+def test_both_transports_return_the_same_result(n, t, noise, data_seed, k, s, max_rounds, seed):
+    dataset = generate_synthetic(n, t, noise, data_seed)
+    inproc, socketed = (
+        run_dcc(dataset, k=k, s=s, length=20, seed=seed, max_rounds=max_rounds, transport=transport)
+        for transport in ("inproc", "socket")
+    )
+    assert_equal_but_for_the_timers(socketed, inproc)
