@@ -17,7 +17,7 @@ _PUBLIC = {
     "dcc": "ClusterResult ProtocolError RoundMessage derive_seed elbow_sweep"
            " master_consensus run_dcc worker_round",
     "features": "build_features local_ranges reduce_global_range",
-    "kmeans": "Assignment CentroidSet init_uniform lloyd wcss_total",
+    "kmeans": "Assignment CentroidSet init_uniform lloyd",
     "series": "ARCHETYPES Dataset DatasetError archetype_template generate_synthetic load_dataset"
               " make_shard_plan save_dataset",
     "summarize": "composition_table minute_proportions",

@@ -118,21 +118,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _integer(text: str) -> int:
+    """An optional sign, then ASCII digits; int() alone also takes '1_0', '٣' and ' 2 '."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_k_list(text: str) -> list[int]:
     text = text.strip()
     try:
         if "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = list(range(_integer(lo.strip()), _integer(hi.strip()) + 1))
         else:
-            values = [int(part) for part in text.split(",") if part.strip()]
+            values = [_integer(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"bad K list {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise UsageError(f"bad K list {text!r}")
-    if len(set(values)) < len(values):  # each K would run again and repeat its rows
-        twice = next(v for i, v in enumerate(values) if v in values[:i])
-        raise UsageError(f"K list {text!r} names K={twice} twice")
+    seen = set()
+    for v in values:  # each K would run again and repeat its rows
+        if v in seen:
+            raise UsageError(f"K list {text!r} names K={v} twice")
+        seen.add(v)
     return values
 
 
@@ -260,10 +269,8 @@ def _read_labels(path: str, dataset) -> np.ndarray:
             raise DatasetError(f"{where} has {len(row)} fields, expected 2 (id,label)")
         if row[0] != ident:
             raise DatasetError(f"{where}: id {row[0]!r} does not match dataset id {ident!r}")
-        try:  # a sign and ASCII digits only: int() also takes '1_0', '٣' and ' 2 '
-            if not (row[1].isascii() and row[1].lstrip("+-").isdigit()):
-                raise ValueError
-            labels[i] = int(row[1])
+        try:
+            labels[i] = _integer(row[1])
         except (ValueError, OverflowError):
             raise DatasetError(f"{where}: label {row[1]!r} is not an integer") from None
     return labels
@@ -283,7 +290,7 @@ def _parse_names(text: str) -> dict[int, str]:
             continue
         idx, sep, name = part.partition("=")
         try:
-            cluster = int(idx) if sep else 0
+            cluster = _integer(idx.strip()) if sep else 0
         except ValueError:
             cluster = 0
         if cluster < 1:
@@ -366,7 +373,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # e.g. a --T or --L too large to allocate; no output file is left
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_DATA
 
 

@@ -21,9 +21,12 @@ Per-worker seeds derive deterministically from (seed, worker_id), so
 results do not depend on execution order or transport.  One round loop,
 `coordinate_rounds`, drives both transports: the in-process one calls the
 workers directly, the socket one (see `wire`) runs them as separate
-processes, and both must produce identical results.  `run_dcc` runs one
-K; `elbow_sweep` computes the features once and returns one `ClusterResult`
-per K, each equal to `run_dcc`'s for that K but for the two timers.
+processes, and both must produce identical results.  Worker output is
+checked once, where it reaches the coordinator: `coordinate_rounds` checks
+every round's reports, the socket transport each RESULT's labels and
+WCSS.  `run_dcc` runs one K; `elbow_sweep` computes the features once and
+returns one `ClusterResult` per K, each equal to `run_dcc`'s for that K
+but for the two timers.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import DEFAULT_LANDSCAPE_LENGTH, build_features, local_ranges, reduce_global_range
-from .kmeans import Assignment, CentroidSet, init_uniform, lloyd, wcss_total
+from .kmeans import Assignment, CentroidSet, init_uniform, lloyd
 from .series import Dataset, DatasetError, make_shard_plan
 
 DEFAULT_MAX_ROUNDS = 100
@@ -136,22 +139,16 @@ def worker_round(
 def master_consensus(messages: list[RoundMessage], k: int, seed: int) -> CentroidSet:
     """Cluster the S*K reported centroids into K consensus centroids.
 
-    The reported centroids are treated as points, each counting once, and
-    clustered by the same K-means with a uniform-range initialization.
-    The K results are ordered by the smallest input row assigned to each
-    cluster, with clusters left empty last in index order, so a
-    coordinator fed an already-stable centroid set returns it unchanged.
-
-    Raises ProtocolError if the worker reports are not exactly 1..S.
+    The reports arrive checked and in worker order: `coordinate_rounds`
+    passes only reports of (wid, i, K, L) for workers 1..S, and stacking
+    keeps that order.  The reported centroids are treated as points, each
+    counting once, and clustered by the same K-means with a uniform-range
+    initialization.  The K results are ordered by the smallest input row
+    assigned to each cluster, with clusters left empty last in index
+    order, so a coordinator fed an already-stable centroid set returns it
+    unchanged.
     """
-    if not messages:
-        raise ProtocolError("no worker messages")
-    by_worker = {m.worker_id: m for m in messages}
-    s = len(messages)
-    if sorted(by_worker) != list(range(1, s + 1)):
-        missing = set(range(1, s + 1)) - set(by_worker)
-        raise ProtocolError(f"missing worker message(s): {sorted(missing)}")
-    stacked = np.vstack([by_worker[wid].centroids.centroids for wid in range(1, s + 1)])
+    stacked = np.vstack([m.centroids.centroids for m in messages])
     assignment, centroids = lloyd(stacked, init_uniform(stacked, k, seed))
     # canonical order: by first input row assigned to each cluster
     present, first = np.unique(assignment.labels, return_index=True)
@@ -261,7 +258,7 @@ def _cluster(prepared, k: int, seed: int, max_rounds: int, run_rounds) -> Cluste
     return ClusterResult(
         labels=labels,
         order=order,
-        wcss=wcss_total(per_shard),
+        wcss=float(np.asarray(per_shard).sum()),  # numpy's pairwise order
         centroids=consensus,
         rounds_used=rounds_used,
         converged=converged,

@@ -186,10 +186,3 @@ def lloyd(
 
     return Assignment(labels=labels + 1, wcss=wcss), CentroidSet(centroids=c)
 
-
-def wcss_total(per_shard) -> float:
-    """Total within-cluster sum of squares: the sum of per-shard values."""
-    values = np.asarray(list(per_shard), dtype=np.float64)
-    if len(values) and values.min() < 0:
-        raise ValueError("per-shard WCSS values must be non-negative")
-    return float(values.sum())

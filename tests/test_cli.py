@@ -371,7 +371,7 @@ class TestExitCodes:
         assert run_cli("no-such-command") == 1
 
     def test_bad_k_list_is_usage_error(self, data_csv, tmp_path):
-        for bad in ("0", "2-x", "a,b"):
+        for bad in ("0", "2-x", "a,b", "1_0,\u0663", "\u0663", "2-\u0665"):  # int() takes the last three
             assert run_cli(
                 "elbow", "--input", str(data_csv), "--out", str(tmp_path / "x"), "--K", bad,
             ) == 1
@@ -403,6 +403,16 @@ class TestExitCodes:
         assert run_cli("cluster", "--input", str(data_csv), "--out", str(out), "--K", "2") == 2
         assert capsys.readouterr().err == (
             "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (10000000000,)\n")
+        assert not out.exists()
+
+    def test_out_of_memory_without_a_reason_is_a_bare_error_line(self, data_csv, tmp_path, monkeypatch, capsys):
+        def exhausted(text):  # as a list too long to allocate raises it, with no text
+            raise MemoryError()
+
+        monkeypatch.setattr(cli_module, "_parse_k_list", exhausted)
+        out = tmp_path / "o"
+        assert run_cli("elbow", "--input", str(data_csv), "--out", str(out), "--K", "1-100000000000") == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
@@ -456,19 +466,21 @@ class TestExitCodes:
     def test_malformed_labels_file_is_data_error(self, data_csv, tmp_path, capsys):
         lines = self._labels_lines(data_csv)
         ident = lines[3].split(",")[0]
-        for bad_row, message in (
-            (ident, "labels file row 3 has 1 fields"),
-            (f"{ident},2,extra", "labels file row 3 has 3 fields"),
-            (f"{ident},two", "labels file row 3: label 'two' is not an integer"),
+        for line, bad_row, message in (
+            (0, "id,cluster", "bad labels file header 'id,cluster'"),
+            (3, "wrong-id,1", f"labels file row 3: id 'wrong-id' does not match dataset id {ident!r}"),
+            (3, ident, "labels file row 3 has 1 fields"),
+            (3, f"{ident},2,extra", "labels file row 3 has 3 fields"),
+            (3, f"{ident},two", "labels file row 3: label 'two' is not an integer"),
             # int() takes these, but cluster never writes them
-            (f"{ident},1_0", "labels file row 3: label '1_0' is not an integer"),
-            (f"{ident},\u0663", "labels file row 3: label '\u0663' is not an integer"),
-            (f"{ident}, 2 ", "labels file row 3: label ' 2 ' is not an integer"),
-            (f"{ident},+-1", "labels file row 3: label '+-1' is not an integer"),
-            (f"{ident},-1", "labels must be 1-based cluster indices"),  # an integer, out of range
+            (3, f"{ident},1_0", "labels file row 3: label '1_0' is not an integer"),
+            (3, f"{ident},\u0663", "labels file row 3: label '\u0663' is not an integer"),
+            (3, f"{ident}, 2 ", "labels file row 3: label ' 2 ' is not an integer"),
+            (3, f"{ident},+-1", "labels file row 3: label '+-1' is not an integer"),
+            (3, f"{ident},-1", "labels must be 1-based cluster indices"),  # an integer, out of range
         ):
             path = tmp_path / "labels.csv"
-            path.write_text("\n".join(lines[:3] + [bad_row] + lines[4:]) + "\n")
+            path.write_text("\n".join(lines[:line] + [bad_row] + lines[line + 1:]) + "\n")
             out = tmp_path / "o"
             assert run_cli(
                 "summarize", "--input", str(data_csv), "--labels", str(path), "--out", str(out),
@@ -491,7 +503,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("names", ["home", "x=home", "0=home", "1=a/b", "1=", "1=x,1=y",
-                                       "1=x,2=x", "1=cluster2"])
+                                       "1=x,2=x", "1=cluster2", "1_0=x", "\u0663=x"])
     def test_bad_cluster_names_are_usage_errors(self, data_csv, tmp_path, names, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text("\n".join(self._labels_lines(data_csv)) + "\n")

@@ -199,10 +199,16 @@ class TestMasterConsensus:
         consensus = master_consensus(messages, 2, seed=2)
         assert np.array_equal(consensus.centroids, centroids)
 
-    def test_missing_worker_is_a_protocol_fault(self):
-        messages = [self._message(1, [[0.0]]), self._message(3, [[1.0]])]
-        with pytest.raises(ProtocolError, match="missing worker"):
-            master_consensus(messages, 1, seed=0)
+    def test_missing_worker_is_a_protocol_fault(self, monkeypatch):
+        # the round check in coordinate_rounds refuses it before consensus runs
+        def refuse(messages, k, seed):
+            raise AssertionError("master_consensus ran")
+
+        monkeypatch.setattr(dcc_module, "master_consensus", refuse)
+        matrices = [feature_matrix([[float(w)]]) for w in range(3)]
+        reports = [self._message(1, [[0.0]]), self._message(3, [[1.0]])]
+        with pytest.raises(ProtocolError, match="round 1"):
+            dcc_module.coordinate_rounds(matrices, 1, 0, 5, lambda i, consensus: reports, list)
 
     @staticmethod
     def _oracle(messages, k, seed):
@@ -283,6 +289,12 @@ class TestRunDcc:
             flat += ((matrix - centroids.centroids[labels - 1]) ** 2).sum()
         assert result.wcss == pytest.approx(flat, abs=1e-9)
         assert result.wcss == pytest.approx(sum(result.wcss_per_shard), abs=1e-12)
+
+    def test_wcss_is_numpys_pairwise_sum_over_shards(self):
+        # from S = 8 on, numpy's pairwise order and Python's left-to-right sum give other bits
+        result = run_dcc(generate_synthetic(30, 64, 0.05, 7), k=3, s=8, length=20, seed=1)
+        assert result.wcss == float(np.asarray(result.wcss_per_shard).sum()) == 63.287825340489384
+        assert sum(result.wcss_per_shard) == 63.28782534048939
 
     def test_round_budget_and_flag_soundness(self, dataset, monkeypatch):
         calls = []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshscape import Assignment, CentroidSet, init_uniform, kmeans, lloyd, wcss_total
+from walshscape import Assignment, CentroidSet, init_uniform, kmeans, lloyd
 
 
 def oracle_lloyd(points, init, max_iters=1000, on_iteration=None):
@@ -190,6 +190,8 @@ class TestLloyd:
         history = []
         lloyd(points, init_uniform(points, 4, seed=0), max_iters=3, on_iteration=history.append)
         assert len(history) <= 3
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            lloyd(points, init_uniform(points, 4, seed=0), max_iters=0)
 
     def test_returned_centroids_consistent_with_wcss(self, rng):
         points = rng.normal(size=(50, 2))
@@ -297,17 +299,19 @@ class TestAgainstOracle:
         assert new.centroids[0, 0] == pytest.approx(old.centroids[0, 0], rel=1e-15)
 
 
-class TestWcssTotal:
-    def test_zeros(self):
-        assert wcss_total([0.0, 0.0, 0.0]) == 0.0
+class TestCentroidSet:
+    @pytest.mark.parametrize("centroids, message", [
+        (np.array([[0.0, np.nan]]), "centroids must be finite"),
+        (np.array([[np.inf, 0.0]]), "centroids must be finite"),
+        (np.zeros(3), "centroids must form a 2-D matrix"),
+        (np.zeros((1, 2, 2)), "centroids must form a 2-D matrix"),
+    ])
+    def test_a_non_finite_or_non_matrix_set_is_refused(self, centroids, message):
+        with pytest.raises(ValueError, match=message):
+            CentroidSet(centroids=centroids)
 
-    def test_simple_sum(self):
-        assert wcss_total([1.5, 2.5]) == 4.0
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            wcss_total([1.0, -0.5])
-
+class TestAssignment:
     def test_assignment_is_immutable_dataclass(self):
         a = Assignment(labels=np.array([1, 2]), wcss=0.0)
         with pytest.raises(AttributeError):

@@ -145,6 +145,9 @@ def test_non_finite_weight_is_rejected_with_its_row(tmp_path, source, weight):
     pytest.param([[0, 1], [1, 0]], ["x", 1.0], ["a", "b"], "non-numeric weight at row 1", id="text-weight"),
     pytest.param([[0, 1], [1, 0]], [1.0, [2.0]], ["a", "b"], "non-numeric weight at row 2", id="list-weight"),
     pytest.param([[0, 1], [1, 0]], [1.0, 1.0], ["a", 2], "series id 2 is not a string at row 2", id="int-id"),
+    pytest.param([[0.0, 1.0]], [1.0], ["a"], "levels must be an integer (N, T) matrix", id="float-levels"),
+    pytest.param([[0, 1], [1, 0]], [1.0, 1.0], ["a"], "every column must hold one value per series (2)",
+                 id="short-ids"),
 ])
 def test_malformed_columns_are_rejected_with_their_row(levels, weights, ids, message):
     with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
@@ -206,6 +209,14 @@ class TestRoundTrips:
         path.write_text("id,w,t0\np1,1.0,0\np2,-2.0,1\n")
         with pytest.raises(DatasetError, match="negative weight at row 2"):
             load_dataset(path)
+
+    def test_unknown_format_is_refused(self, dataset, tmp_path):
+        path = tmp_path / "data.xml"
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            save_dataset(dataset, path, format="xml")
+        assert not path.exists()
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            load_dataset(path, format="xml")
 
     def test_csv_weight_defaults_to_one(self, tmp_path):
         path = tmp_path / "plain.csv"

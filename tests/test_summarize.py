@@ -65,6 +65,11 @@ class TestMinuteProportions:
         with pytest.raises(ValueError, match="length"):
             minute_proportions(ds, [1, 1], k=2)
 
+    def test_label_above_k_rejected(self):
+        ds = toy_dataset([[0, 1], [1, 0]], J=3)
+        with pytest.raises(ValueError, match="label exceeds K"):
+            minute_proportions(ds, [1, 3], k=2)
+
 
 def composition_loop(dataset, labels, attribute):
     """The dict loop that composition_table ran before it counted by bincount:

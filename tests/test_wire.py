@@ -104,6 +104,13 @@ class TestMalformedFrames:
 
             assert traced_peak(receive) < 2**20
 
+    def test_a_frame_of_another_kind_is_a_protocol_fault(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:  # a STOP where a ROUND is due
+            wire._send_frame(theirs, struct.pack("<B", wire.KIND_STOP))
+            with pytest.raises(ProtocolError, match=r"^expected frame kind \(2,\), got 3$"):
+                wire._recv_kind(ours, wire.KIND_ROUND)
+
     @pytest.mark.parametrize("unpack", [unpack_setup, unpack_round, unpack_result])
     def test_empty_frame_is_a_protocol_fault(self, unpack):
         with pytest.raises(ProtocolError):
