@@ -1,9 +1,10 @@
 """Command-line surface: synthesize data, cluster, sweep K, summarize clusters.
 
 Every flag default can be overridden by an environment variable with the
-WALSHSCAPE_ prefix (e.g. WALSHSCAPE_SEED=7 walshscape cluster ...); an
-explicit flag always wins.  Commands are deterministic given their flags,
-exit non-zero on any error, and leave no partial output files behind.
+WALSHSCAPE_ prefix (e.g. WALSHSCAPE_SEED=7 walshscape cluster ...), which
+the flag's argparse type checks as it does the flag's own; an explicit flag
+always wins.  Commands are deterministic given their flags, exit non-zero on
+any error, and leave no partial output files behind.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 protocol fault.
 """
@@ -45,42 +46,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str, default):
-    """A flag's default: the environment's string, which argparse converts
-    with the flag's type only when the flag is absent, else `default`."""
+    """A flag's default: the environment's string, else `default`.  argparse runs the
+    flag's type on a string default too, so it checks this value as the flag's own."""
     return os.environ.get(ENV_PREFIX + name, default)
 
 
-# the flags with choices, whose defaults argparse does not check (see _check_env_choices)
-_CHOICES = {"format": ("csv", "binary"), "transport": ("inproc", "socket")}
+def _integer(text: str) -> int:
+    """An optional sign, then ASCII digits: every integer the CLI reads; int() also takes '1_0', '٣', ' 2 '."""
+    try:
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _check_env_choices(args) -> None:
-    """Raise UsageError if a choice flag holds a value outside its choices.
+def _seed(text: str) -> int:
+    """--seed, refused here if negative: before any load, as numpy's seeding would refuse it after."""
+    if (seed := _integer(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
 
-    argparse checks the choices of a flag given on the command line only, so
-    such a value is a WALSHSCAPE_* default of a flag left out.
-    """
-    for dest, choices in _CHOICES.items():
-        value = getattr(args, dest, None)
-        if value is not None and value not in choices:
-            allowed = ", ".join(map(repr, choices))
-            raise UsageError(f"argument --{dest}: invalid choice from {ENV_PREFIX}{dest.upper()}: "
-                             f"{value!r} (choose from {allowed})")
+
+def _decimal(text: str) -> float:
+    """An ASCII decimal such as 0.05, .5, 5e-2 or +0.1; float() alone also
+    takes '0_05', '٠.٠٥', ' 0.05 ', 'nan' and 'inf'.  Keeps argparse's message for float."""
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
+
+
+def _choices(*choices: str) -> dict:
+    """add_argument's `choices` and a type that checks them: argparse checks a default by its type only."""
+    def choice(text: str) -> str:
+        if text in choices:
+            return text
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return {"choices": choices, "type": choice}
 
 
 def _add_files(p: _Parser, out_help: str, reads_input: bool = True) -> None:
     if reads_input:
         p.add_argument("--input", required=True, help="dataset file")
     p.add_argument("--out", required=True, help=out_help)
-    p.add_argument("--format", choices=_CHOICES["format"], default=_env("FORMAT", "csv"))
+    p.add_argument("--format", **_choices("csv", "binary"), default=_env("FORMAT", "csv"))
 
 
 def _add_run(p: _Parser, clusters: bool = True) -> None:
     if clusters:
-        p.add_argument("--S", type=int, default=_env("S", 1), help="number of shards/workers")
-        p.add_argument("--L", type=int, default=_env("L", DEFAULT_LANDSCAPE_LENGTH), help="landscape length")
-        p.add_argument("--I", type=int, default=_env("I", DEFAULT_MAX_ROUNDS), help="max protocol rounds")
-    p.add_argument("--seed", type=int, default=_env("SEED", 0), help="master seed (default 0)")
+        p.add_argument("--S", type=_integer, default=_env("S", 1), help="number of shards/workers")
+        p.add_argument("--L", type=_integer, default=_env("L", DEFAULT_LANDSCAPE_LENGTH), help="landscape length")
+        p.add_argument("--I", type=_integer, default=_env("I", DEFAULT_MAX_ROUNDS), help="max protocol rounds")
+    p.add_argument("--seed", type=_seed, default=_env("SEED", 0), help="master seed (default 0)")
 
 
 def build_parser() -> _Parser:
@@ -88,23 +105,23 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic three-archetype dataset")
-    p.add_argument("--n", type=int, required=True, help="series per archetype")
-    p.add_argument("--T", type=int, default=_env("T", 1440), help="minutes per series")
-    p.add_argument("--noise", type=float, default=_env("NOISE", 0.05))
+    p.add_argument("--n", type=_integer, required=True, help="series per archetype")
+    p.add_argument("--T", type=_integer, default=_env("T", 1440), help="minutes per series")
+    p.add_argument("--noise", type=_decimal, default=_env("NOISE", 0.05))
     _add_files(p, "output dataset file", reads_input=False)
     _add_run(p, clusters=False)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cluster", help="cluster a dataset and write labels/centroids/metrics")
     _add_files(p, "output directory")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--transport", choices=_CHOICES["transport"], default=_env("TRANSPORT", "inproc"))
+    p.add_argument("--K", type=_integer, required=True)
+    p.add_argument("--transport", **_choices("inproc", "socket"), default=_env("TRANSPORT", "inproc"))
     _add_run(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("elbow", help="sweep K and write the WCSS/timing table")
     _add_files(p, "output directory")
-    p.add_argument("--K", required=True, help="K values: '2,3,4' or '2-5'")
+    p.add_argument("--K", type=_parse_k_list, required=True, help="K values: '2,3,4' or '2-5'")
     _add_run(p)
     p.set_defaults(func=cmd_elbow)
 
@@ -118,27 +135,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _integer(text: str) -> int:
-    """An optional sign, then ASCII digits; int() alone also takes '1_0', '٣' and ' 2 '."""
-    if not (text.isascii() and text.lstrip("+-").isdigit()):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-def _parse_k_list(text: str) -> list[int]:
+def _parse_k_list(text: str) -> list[int] | range:
     text = text.strip()
     try:
         if "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
-            values = list(range(_integer(lo.strip()), _integer(hi.strip()) + 1))
+            values = range(_integer(lo.strip()), _integer(hi.strip()) + 1)
+            checked = values[:1]  # its least K, so a huge range costs nothing; it repeats none
         else:
-            values = [_integer(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError:
+            values = checked = [_integer(part.strip()) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad K list {text!r}") from None
-    if not values or any(v < 1 for v in values):
+    if not values or min(checked) < 1:
         raise UsageError(f"bad K list {text!r}")
     seen = set()
-    for v in values:  # each K would run again and repeat its rows
+    for v in checked:  # each K would run again and repeat its rows
         if v in seen:
             raise UsageError(f"K list {text!r} names K={v} twice")
         seen.add(v)
@@ -237,9 +248,8 @@ def cmd_cluster(args) -> None:
 
 
 def cmd_elbow(args) -> None:
-    k_list = _parse_k_list(args.K)  # a usage error before the load
     dataset = load_dataset(args.input, format=args.format)
-    points = elbow_sweep(dataset, k_list, s=args.S, length=args.L, seed=args.seed, max_rounds=args.I)
+    points = elbow_sweep(dataset, args.K, s=args.S, length=args.L, seed=args.seed, max_rounds=args.I)
     header = ("K", "wcss", "feature_seconds", "kmeans_seconds", "rounds_used", "converged", "cycle_period")
     rows = [(p.K, f"{p.wcss:.17g}", f"{p.feature_seconds:.3f}", f"{p.kmeans_seconds:.3f}",
              p.rounds_used, p.converged, p.cycle_period or "") for p in points]
@@ -271,7 +281,7 @@ def _read_labels(path: str, dataset) -> np.ndarray:
             raise DatasetError(f"{where}: id {row[0]!r} does not match dataset id {ident!r}")
         try:
             labels[i] = _integer(row[1])
-        except (ValueError, OverflowError):
+        except (argparse.ArgumentTypeError, OverflowError):
             raise DatasetError(f"{where}: label {row[1]!r} is not an integer") from None
     return labels
 
@@ -291,7 +301,7 @@ def _parse_names(text: str) -> dict[int, str]:
         idx, sep, name = part.partition("=")
         try:
             cluster = _integer(idx.strip()) if sep else 0
-        except ValueError:
+        except argparse.ArgumentTypeError:
             cluster = 0
         if cluster < 1:
             raise UsageError(f"bad --cluster-names entry {part!r}: expected <cluster>=<name>, cluster from 1")
@@ -358,9 +368,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_env_choices(args)
-        if getattr(args, "seed", 0) < 0:  # before the load: numpy's seeding would refuse it after
-            raise UsageError(f"argument --seed: expected a non-negative integer, got {args.seed}")
         args.func(args)
         return EXIT_OK
     except UsageError as exc:

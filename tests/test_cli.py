@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -314,27 +315,27 @@ FORMATS, TRANSPORTS = ("csv", "binary"), ("inproc", "socket")
 SHARED = {  # option: (type, default, choices, required, environment variable suffix)
     "--input": (None, None, None, True, None),
     "--out": (None, None, None, True, None),
-    "--format": (None, "csv", FORMATS, False, "FORMAT"),
+    "--format": ("choice", "csv", FORMATS, False, "FORMAT"),
 }
 RUN = {
-    "--S": ("int", 1, None, False, "S"),
-    "--L": ("int", 100, None, False, "L"),
-    "--I": ("int", 100, None, False, "I"),
-    "--seed": ("int", 0, None, False, "SEED"),
+    "--S": ("_integer", 1, None, False, "S"),
+    "--L": ("_integer", 100, None, False, "L"),
+    "--I": ("_integer", 100, None, False, "I"),
+    "--seed": ("_seed", 0, None, False, "SEED"),
 }
 PINNED_FLAGS = {
     "synth": {
-        "--n": ("int", None, None, True, None),
-        "--T": ("int", 1440, None, False, "T"),
-        "--noise": ("float", 0.05, None, False, "NOISE"),
+        "--n": ("_integer", None, None, True, None),
+        "--T": ("_integer", 1440, None, False, "T"),
+        "--noise": ("_decimal", 0.05, None, False, "NOISE"),
         "--out": SHARED["--out"], "--format": SHARED["--format"], "--seed": RUN["--seed"],
     },
     "cluster": {
         **SHARED, **RUN,
-        "--K": ("int", None, None, True, None),
-        "--transport": (None, "inproc", TRANSPORTS, False, "TRANSPORT"),
+        "--K": ("_integer", None, None, True, None),
+        "--transport": ("choice", "inproc", TRANSPORTS, False, "TRANSPORT"),
     },
-    "elbow": {**SHARED, **RUN, "--K": (None, None, None, True, None)},
+    "elbow": {**SHARED, **RUN, "--K": ("_parse_k_list", None, None, True, None)},
     "summarize": {
         **SHARED,
         "--labels": (None, None, None, True, None),
@@ -342,6 +343,18 @@ PINNED_FLAGS = {
         "--cluster-names": (None, "", None, False, None),
     },
 }
+
+
+REFUSED_INTEGERS = ["1_0", "\u0663", " 2 ", "+-1", "--1", "0x10", "1e3", "", "+"]  # int() takes the first three
+READ_INTEGERS = {"3": 3, "+3": 3, "007": 7}
+INTEGER_CASES = [
+    (entry, text)
+    for entry in ("flag", "environment", "label", "K-list item", "K-list range end", "cluster number")
+    for text in [*REFUSED_INTEGERS, *READ_INTEGERS]
+    # an entry of --K or --cluster-names may have spaces around it, and an empty K entry is skipped
+    if (entry, text) not in {("K-list item", " 2 "), ("K-list range end", " 2 "), ("cluster number", " 2 "),
+                             ("K-list item", "")}
+]
 
 
 def test_every_command_keeps_its_pinned_flags(monkeypatch):
@@ -384,6 +397,16 @@ class TestExitCodes:
         # checked before the load: a missing input is not reached
         assert run_cli("elbow", "--input", str(tmp_path / "missing.csv"), "--out", str(out), "--K", "3,3") == 1
         assert not out.exists()
+
+    def test_a_k_range_is_checked_by_its_ends_without_being_built(self):
+        tracemalloc.start()
+        try:
+            ks = cli_module._parse_k_list("1-100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ks == range(1, 100000000001)
+        assert peak < 4096
 
     def test_round_budget_below_one_is_data_error(self, data_csv, tmp_path):
         out = tmp_path / "o"
@@ -582,6 +605,68 @@ class TestExitCodes:
         assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: 'x'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, text", INTEGER_CASES)
+    def test_every_integer_the_cli_reads_follows_one_rule(self, data_csv, tmp_path, monkeypatch, capsys,
+                                                         entry, text):
+        value = READ_INTEGERS.get(text)
+        lines = self._labels_lines(data_csv)  # row 3 holds the label read, or the cluster a name takes
+        lines[3] = f"{lines[3].split(',')[0]},{text if entry == 'label' else value or 1}"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(lines) + "\n")
+        summarize = ("summarize", "--input", str(data_csv), "--labels", str(labels))
+        k = f"2,{text}" if entry == "K-list item" else f"2-{text}"
+        elbow = ("elbow", "--input", str(data_csv), "--I", "5", "--K", k)
+        if entry == "environment":
+            monkeypatch.setenv("WALSHSCAPE_T", text)
+        argv, refusal = {
+            "flag": (("synth", f"--n={text}", "--T", "8"), f"usage error: argument --n: invalid int value: {text!r}"),
+            "environment": (("synth", "--n", "1"), f"usage error: argument --T: invalid int value: {text!r}"),
+            "label": (summarize, f"error: labels file row 3: label {text!r} is not an integer"),
+            "K-list item": (elbow, f"usage error: bad K list {k!r}"),
+            "K-list range end": (elbow, f"usage error: bad K list {k!r}"),
+            "cluster number": ((*summarize, f"--cluster-names={text}=home"),
+                               f"usage error: bad --cluster-names entry {text + '=home'!r}: "
+                               "expected <cluster>=<name>, cluster from 1"),
+        }[entry]
+        out = tmp_path / "o"
+        code = run_cli(*argv, "--out", str(out))
+        if value is None:
+            assert code == (2 if entry == "label" else 1)
+            assert capsys.readouterr().err == refusal + "\n"
+            assert not out.exists()
+        elif entry in ("flag", "environment"):
+            dataset = load_dataset(out)
+            assert code == 0 and (dataset.N // 3 if entry == "flag" else dataset.T) == value
+        elif entry == "label":
+            assert code == 0 and (out / f"proportions_cluster{value}.csv").exists()
+        elif entry == "cluster number":
+            assert code == 0 and (out / "proportions_home.csv").exists()
+        else:
+            ks = [int(row.split(",")[0]) for row in (out / "elbow.csv").read_text().split()[1:]]
+            assert code == 0 and ks == ([2, value] if entry == "K-list item" else list(range(2, value + 1)))
+
+    @pytest.mark.parametrize("text, code", [
+        ("0.05", 0), ("5e-2", 0), ("+0.1", 0),
+        (".5", 2), ("1.", 2),  # read, then refused by generate_synthetic's [0, 0.5) check
+        ("0_05", 1), ("\u0660.\u0660\u0665", 1), (" 0.05 ", 1), ("nan", 1), ("inf", 1), ("0x1", 1),  # float() takes all but 0x1
+    ])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "environment"])
+    def test_noise_is_an_ascii_decimal(self, tmp_path, monkeypatch, capsys, from_env, text, code):
+        argv = ("synth", "--n", "1", "--T", "64")
+        if from_env:
+            monkeypatch.setenv("WALSHSCAPE_NOISE", text)
+        else:
+            argv += (f"--noise={text}",)
+        out = tmp_path / "data.csv"
+        assert run_cli(*argv, "--out", str(out)) == code
+        assert capsys.readouterr().err == {
+            0: "", 1: f"usage error: argument --noise: invalid float value: {text!r}\n",
+            2: "error: noise must lie in [0, 0.5)\n"}[code]
+        if code:
+            assert not out.exists()
+        else:
+            assert np.array_equal(load_dataset(out).levels, generate_synthetic(1, 64, float(text), 0).levels)
+
     def test_malformed_env_seed_leaves_summarize_alone(self, data_csv, tmp_path, monkeypatch, capsys):
         run = tmp_path / "run"
         assert run_cli("cluster", "--input", str(data_csv), "--out", str(run), "--K", "3") == 0
@@ -652,8 +737,7 @@ class TestExitCodes:
             return
         flag = f"--{name.lower()}"
         assert code == 1
-        assert capsys.readouterr().err == (f"usage error: argument {flag}: invalid choice from "
-                                           f"WALSHSCAPE_{name}: {value!r} "
+        assert capsys.readouterr().err == (f"usage error: argument {flag}: invalid choice: {value!r} "
                                            f"(choose from {allowed[0]!r}, {allowed[1]!r})\n")
         assert not out.exists()
         # an explicit valid flag still wins over the environment's value
