@@ -1,8 +1,11 @@
 """Divide-and-combine K-means: S shard workers, one coordinator.
 
-A shard is an array of row indices (`make_shard_plan`).  A series' Walsh
-range depends on that series alone, so one range pass in ingestion order
-gives every shard's (mins, maxs), indexed by the shard's array.
+A shard is an array of row indices (`make_shard_plan`), the smallest of
+N // S.  A worker cannot form K clusters from fewer points, so every K must
+lie in 1..N // S, else DatasetError; `_prepare_features` checks K, S, L and
+I before the range pass.  A series' Walsh range depends on that series
+alone, so one range pass in ingestion order gives every shard's (mins,
+maxs), indexed by the shard's array.
 Each round, every worker runs K-means on its shard's landscape features
 (round 1 from a uniform-range initialization with a worker-specific seed,
 later rounds from the consensus centroids broadcast by the coordinator)
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -128,10 +132,7 @@ def worker_round(
         raise ValueError("consensus centroids are present exactly when round > 1")
     start = init_uniform(shard_features, k, seed) if incoming is None else incoming
     assignment, centroids = lloyd(shard_features, start)  # checks L
-    if round_index == 1:
-        flag = 1
-    else:
-        flag = 0 if prev is not None and np.array_equal(assignment.labels, prev.labels) else 1
+    flag = int(round_index == 1 or prev is None or not np.array_equal(assignment.labels, prev.labels))
     message = RoundMessage(worker_id=worker_id, round=round_index, centroids=centroids, flag=flag)
     return message, assignment
 
@@ -158,18 +159,30 @@ def master_consensus(messages: list[RoundMessage], k: int, seed: int) -> Centroi
 
 
 def _prepare_features(
-    dataset: Dataset, s: int, length: int, seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """The shards' index arrays, their feature matrices and the seconds spent."""
+    dataset: Dataset, s: int, length: int, seed: int, k_values, max_rounds: int
+) -> tuple[list[int], list[np.ndarray], list[np.ndarray], float]:
+    """Check K, S, L and I (see above), reading at most N // S + 1 K values; return them as a
+    list, the shards' index arrays, their feature matrices and the seconds spent."""
     t0 = time.perf_counter()
+    if length < 2:
+        raise ValueError("grid needs at least two points")
+    if max_rounds < 1:
+        raise ValueError("I must be at least 1")
     shards = make_shard_plan(dataset.N, s, seed)
+    cap = dataset.N // s
+    ks = list(islice(k_values, cap + 1))
+    if min(ks, default=0) < 1:
+        raise ValueError("K must be at least 1" if ks else "K list must not be empty")
+    if max(ks) > cap or len(ks) > cap:  # more than cap values in 1..cap repeat one
+        got = f"K={max(ks)}" if max(ks) > cap else f"more than {cap} K values"
+        raise DatasetError(f"K must lie in 1..N // S = {dataset.N} // {s} = {cap}, the smallest shard's size; got {got}")
     mins, maxs = local_ranges(dataset.levels)
     d_min, d_max = bounds = reduce_global_range([(mins, maxs)])  # all-shards barrier
     if d_min == d_max:
         raise DatasetError(f"every series has the same Walsh range [{d_min}, {d_max}], "
                            "so there is nothing to cluster")
     matrices = [build_features((mins[ix], maxs[ix]), bounds, length) for ix in shards]
-    return shards, matrices, time.perf_counter() - t0
+    return ks, shards, matrices, time.perf_counter() - t0
 
 
 def coordinate_rounds(
@@ -189,8 +202,6 @@ def coordinate_rounds(
     converged, cycle start, cycle period); the last two are None unless
     a repeat was found.
     """
-    if max_rounds < 1:
-        raise ValueError("I must be at least 1")
     master_seed = derive_seed(seed, 0)
     consensus: CentroidSet | None = None
     seen: dict[bytes, int] = {}  # raw bytes of (c_{i-1}, c_i) -> first round i
@@ -234,19 +245,9 @@ def _run_rounds(matrices: list[np.ndarray], k: int, seed: int, max_rounds: int):
     return coordinate_rounds(matrices, k, seed, max_rounds, exchange, lambda: retained)
 
 
-def _check_parameters(k_list: list[int], length: int, max_rounds: int) -> None:
-    """Raise the ValueError that K, L or I would raise later, before the feature pass runs."""
-    if min(k_list) < 1:
-        raise ValueError("K must be at least 1")
-    if length < 2:
-        raise ValueError("grid needs at least two points")
-    if max_rounds < 1:
-        raise ValueError("I must be at least 1")
-
-
 def _cluster(prepared, k: int, seed: int, max_rounds: int, run_rounds) -> ClusterResult:
     """Run and time the round loop on `_prepare_features`' output; labels go back to ingestion order."""
-    shards, matrices, feature_seconds = prepared
+    _, shards, matrices, feature_seconds = prepared
     t0 = time.perf_counter()
     (assignments, worker_centroids, consensus, rounds_used, converged,
      cycle_start, cycle_period) = run_rounds(matrices, k, seed, max_rounds)
@@ -286,8 +287,8 @@ def run_dcc(
     converged is False only when the loop hit max_rounds with some flag
     still raised; the last state is returned either way.  transport
     "socket" forks S worker processes (see `wire`), so it needs os.fork.
+    K must lie in 1..N // S, else DatasetError, raised before the range pass.
     """
-    _check_parameters([k], length, max_rounds)
     if transport == "inproc":
         run_rounds = _run_rounds
     elif transport == "socket":
@@ -295,7 +296,7 @@ def run_dcc(
         require_fork()
     else:
         raise ValueError(f"unknown transport {transport!r}")
-    return _cluster(_prepare_features(dataset, s, length, seed), k, seed, max_rounds, run_rounds)
+    return _cluster(_prepare_features(dataset, s, length, seed, [k], max_rounds), k, seed, max_rounds, run_rounds)
 
 
 def elbow_sweep(
@@ -306,10 +307,8 @@ def elbow_sweep(
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> list[ClusterResult]:
-    """`run_dcc` in process once per K, with features computed once and reused."""
-    k_list = list(k_list)
-    if not k_list:
-        raise ValueError("K list must not be empty")
-    _check_parameters(k_list, length, max_rounds)
-    prepared = _prepare_features(dataset, s, length, seed)
-    return [_cluster(prepared, k, seed, max_rounds, _run_rounds) for k in k_list]
+    """`run_dcc` in process once per K, with features computed once and reused.
+    k_list is any iterable of K values in 1..N // S, of which at most N // S + 1
+    are read: a longer one (it repeats a K) is a DatasetError and is never built."""
+    prepared = _prepare_features(dataset, s, length, seed, k_list, max_rounds)
+    return [_cluster(prepared, k, seed, max_rounds, _run_rounds) for k in prepared[0]]

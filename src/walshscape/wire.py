@@ -47,6 +47,7 @@ import numpy as np
 from .dcc import ProtocolError, RoundMessage, coordinate_rounds, derive_seed, worker_round
 from .dcc import master_consensus  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .kmeans import Assignment, CentroidSet
+from .tda import _aligned_empty
 
 KIND_SETUP = 1
 KIND_ROUND = 2
@@ -113,9 +114,9 @@ def pack_setup(worker_id: int, k: int, seed: int, rows: np.ndarray) -> bytes:
 def unpack_setup(payload: bytes):
     _, worker_id, k, seed, n, length = _header(_SETUP_HEAD, payload)
     _check_size(payload, _SETUP_HEAD.size + 8 * n * length)
-    # copied: rows left at payload offset 25 are misaligned and slow every Lloyd pass
-    rows = np.frombuffer(payload, dtype="<f8", count=n * length, offset=_SETUP_HEAD.size)
-    return worker_id, k, seed, rows.reshape(n, length).astype(np.float64)
+    rows = _aligned_empty((n, length))  # as in process: rows at payload offset 25 slow every Lloyd pass
+    np.copyto(rows, np.frombuffer(payload, "<f8", n * length, _SETUP_HEAD.size).reshape(n, length))
+    return worker_id, k, seed, rows
 
 
 def pack_round(message: RoundMessage) -> bytes:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from walshscape import ARCHETYPES, Dataset, build_features, local_ranges, make_shard_plan, reduce_global_range
@@ -21,6 +22,14 @@ def label_agreement(truth: np.ndarray, labels: np.ndarray) -> float:
         confusion[t - 1, l - 1] += 1
     rows, cols = linear_sum_assignment(-confusion)
     return confusion[rows, cols].sum() / len(truth)
+
+
+def synthetic_runs(n_per_archetype, s, k_max: int):
+    """(n per archetype, S, K) triples of a `generate_synthetic` run, K in 1..min(k_max, N // S)
+    where N = 3n: every shard holds at least K series, as `run_dcc` requires."""
+    return st.tuples(n_per_archetype, s).flatmap(
+        lambda ns: st.tuples(st.just(ns[0]), st.just(ns[1]), st.integers(1, min(k_max, 3 * ns[0] // ns[1])))
+    )
 
 
 def toy_dataset(values_rows, weights=None, attrs=None, J=None) -> Dataset:

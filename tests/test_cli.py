@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -18,14 +19,17 @@ import walshscape.cli as cli_module
 import walshscape.dcc as dcc_module
 from walshscape import (
     Dataset,
+    DatasetError,
+    elbow_sweep,
     generate_synthetic,
     load_dataset,
     make_shard_plan,
+    run_dcc,
     save_dataset,
 )
 from walshscape.cli import UsageError, _check_titles, _proportions_csv, main
 
-from conftest import label_agreement, truth_labels
+from conftest import label_agreement, traced_peak, truth_labels
 
 
 def run_cli(*argv) -> int:
@@ -208,6 +212,91 @@ class TestElbow:
             "elbow", "--input", str(data_csv), "--out", str(out),
             "--K", "2,3", "--S", "1", "--seed", "0",
         ) == 0
+
+
+def _at_most(values, limit):
+    """values, failing once more than limit are read: a check that builds a huge K range
+    whole fails here, at once, instead of exhausting memory."""
+    for read, value in enumerate(values):
+        if read == limit:
+            raise AssertionError(f"more than {limit} K values were read")
+        yield value
+
+
+class TestKWithinTheSmallestShard:
+    """Every K lies in 1..N // S, the smallest shard's size, on every entry point."""
+
+    # (series per archetype, S): N = 3n; the last shard holds N // S plus the remainder
+    @pytest.mark.parametrize("n, s", [(2, 1), (2, 3), (3, 2), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("entry", ["run_dcc", "elbow_sweep", "cluster", "elbow"])
+    def test_k_up_to_n_over_s_runs_and_one_more_is_refused_before_the_range_pass(
+            self, tmp_path, monkeypatch, capsys, n, s, entry):
+        dataset = generate_synthetic(n, 32, 0.1, 1)
+        path = tmp_path / "data.csv"
+        save_dataset(dataset, path)
+        cap = dataset.N // s
+        out = tmp_path / "o"
+
+        def run(k):  # elbow and elbow_sweep sweep 1..k, so the last K and the count both reach the cap
+            if entry == "run_dcc":
+                return run_dcc(dataset, k=k, s=s, length=20, max_rounds=3)
+            if entry == "elbow_sweep":
+                return elbow_sweep(dataset, range(1, k + 1), s=s, length=20, max_rounds=3)
+            ks = str(k) if entry == "cluster" else f"1-{k}"
+            return main([entry, "--input", str(path), "--out", str(out), "--K", ks, "--S", str(s),
+                         "--L", "20", "--I", "3"])
+
+        result = run(cap)
+        if entry == "run_dcc":
+            assert result.K == cap and set(result.labels.tolist()) <= set(range(1, cap + 1))
+        elif entry == "elbow_sweep":
+            assert [r.K for r in result] == list(range(1, cap + 1))
+        else:
+            assert result == 0 and out.exists()
+        capsys.readouterr()
+
+        def refuse(levels):
+            raise AssertionError("the range pass ran")
+
+        monkeypatch.setattr(dcc_module, "local_ranges", refuse)
+        message = (f"K must lie in 1..N // S = {dataset.N} // {s} = {cap}, the smallest shard's size; "
+                   f"got K={cap + 1}")
+        out = tmp_path / "refused"
+        if entry in ("run_dcc", "elbow_sweep"):
+            with pytest.raises(DatasetError) as raised:
+                run(cap + 1)
+            assert str(raised.value) == message
+        else:
+            assert run(cap + 1) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_huge_k_range_is_refused_unbuilt(self, tmp_path, monkeypatch, capsys):
+        dataset = generate_synthetic(2, 16, 0.1, 0)  # 6 series
+        path = tmp_path / "six.csv"
+        save_dataset(dataset, path)
+        real = cli_module.elbow_sweep
+
+        def guarded(ds, ks, **kwargs):
+            assert isinstance(ks, range) and len(ks) == 10**9  # the CLI hands the range over lazily
+            return real(ds, _at_most(ks, 1000), **kwargs)
+
+        monkeypatch.setattr(cli_module, "elbow_sweep", guarded)
+        out = tmp_path / "o"
+        argv = ["elbow", "--input", str(path), "--out", str(out), "--K", "1-1000000000"]
+        codes = []
+
+        def refused_sweep():
+            with pytest.raises(DatasetError, match="got K=7$"):
+                elbow_sweep(dataset, _at_most(itertools.count(1), 1000), s=1)
+
+        cli_peak = traced_peak(lambda: codes.append(main(argv)))
+        sweep_peak = traced_peak(refused_sweep)
+        assert codes == [2] and not out.exists()
+        assert capsys.readouterr().err.endswith("got K=7\n")
+        # a list of the range would take gigabytes; the load of 6 series and argparse take ~250 KiB at most
+        assert cli_peak < 2**20
+        assert sweep_peak < 2**16  # 2.5 KiB measured: 7 K values and a 6-row shard plan
 
 
 class TestSummarize:

@@ -176,9 +176,9 @@ def test_rows_equal_the_per_series_oracle_for_any_shard_split(levels, data):
     d_max = max(c.max() for c in oracle)
     if d_min == d_max:
         with pytest.raises(DatasetError, match="same Walsh range"):
-            _prepare_features(ds, s, length, seed)
+            _prepare_features(ds, s, length, seed, [1], 1)
         return
-    shards, matrices, _ = _prepare_features(ds, s, length, seed)
+    _, shards, matrices, _ = _prepare_features(ds, s, length, seed, [1], 1)
     rows = np.vstack(matrices)
     for position, original in enumerate(np.concatenate(shards)):
         c = oracle[original]

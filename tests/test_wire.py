@@ -23,7 +23,7 @@ from walshscape.wire import (
     unpack_setup,
 )
 
-from conftest import traced_peak
+from conftest import synthetic_runs, traced_peak
 
 
 class TestFrames:
@@ -34,6 +34,14 @@ class TestFrames:
         assert (worker_id, k, seed) == (3, 2, 987654321012345)
         assert np.array_equal(back, rows)
         assert back.flags.aligned
+
+    @pytest.mark.parametrize("n", [1, 3, 225, 450, 2508])
+    def test_setup_rows_start_64_byte_aligned_as_in_process_rows(self, rng, n):
+        rows = rng.normal(size=(n, 100))
+        back = unpack_setup(pack_setup(1, 2, 3, rows))[3]
+        assert back.ctypes.data % 64 == 0
+        assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+        assert back.tobytes() == rows.tobytes()
 
     def test_round_trip_preserves_doubles_bit_exactly(self, rng):
         centroids = CentroidSet(centroids=rng.normal(size=(4, 6)))
@@ -425,12 +433,13 @@ def assert_equal_but_for_the_timers(a, b):
 @needs_fork
 @settings(derandomize=True, max_examples=15, deadline=None, database=None)
 @given(
-    n=st.integers(2, 12), t=st.sampled_from([16, 32, 64, 96]), noise=st.floats(0.02, 0.3),
-    data_seed=st.integers(0, 999), k=st.integers(1, 5), s=st.integers(1, 3),
-    max_rounds=st.integers(1, 12), seed=st.integers(0, 2**32),
+    run=synthetic_runs(st.integers(2, 12), st.integers(1, 3), 5), t=st.sampled_from([16, 32, 64, 96]),
+    noise=st.floats(0.02, 0.3), data_seed=st.integers(0, 999), max_rounds=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
 )
-@example(n=20, t=96, noise=0.05, data_seed=7, k=4, s=2, max_rounds=8, seed=3)  # period 2 from round 3
-def test_both_transports_return_the_same_result(n, t, noise, data_seed, k, s, max_rounds, seed):
+@example(run=(20, 2, 4), t=96, noise=0.05, data_seed=7, max_rounds=8, seed=3)  # period 2 from round 3
+def test_both_transports_return_the_same_result(run, t, noise, data_seed, max_rounds, seed):
+    n, s, k = run
     dataset = generate_synthetic(n, t, noise, data_seed)
     inproc, socketed = (
         run_dcc(dataset, k=k, s=s, length=20, seed=seed, max_rounds=max_rounds, transport=transport)
