@@ -283,6 +283,8 @@ def _read_labels(path: str, dataset) -> np.ndarray:
             labels[i] = _integer(row[1])
         except (argparse.ArgumentTypeError, OverflowError):
             raise DatasetError(f"{where}: label {row[1]!r} is not an integer") from None
+        if labels[i] < 1:
+            raise DatasetError(f"{where}: label {row[1]!r} is below 1; clusters are numbered from 1")
     return labels
 
 

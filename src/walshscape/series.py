@@ -76,10 +76,11 @@ class SeriesRow:
 class Dataset:
     """N categorical series sharing T and J, held as columns (see the module docstring).
 
-    J is inferred as max(level) + 1, at least 2, when None.  Attribute names
-    that no series carries are dropped.  Raises DatasetError naming the first
-    1-based row with a level outside [0, J), a negative or non-finite weight,
-    a repeated id, or an id or attribute value that is not a string.
+    J, inferred as max(level) + 1 and at least 2 when None, must lie in
+    2..2**64.  Attribute names that no series carries are dropped.  Raises
+    DatasetError naming the first 1-based row with a level outside [0, J), a
+    negative or non-finite weight, a repeated id, or an id or attribute value
+    that is not a string.
     """
 
     def __init__(self, levels, weights, ids, attributes: dict, J: int | None = None):
@@ -94,8 +95,8 @@ class Dataset:
         if n == 0:
             raise DatasetError("dataset contains no rows")
         J = max(2, 1 + int(levels.max())) if J is None else int(J)
-        if J < 2:
-            raise DatasetError("J must be at least 2")
+        if not 2 <= J <= 2**64:  # levels 0..J-1 fit uint64
+            raise DatasetError(f"J must lie in 2..2**64; got J={J}")
         if t == 0:
             raise DatasetError("series length T must be positive")
         try:

@@ -14,33 +14,35 @@ test suite verifies exactly for T2 <= 256).
 
 The transform of a length-T2 vector x (T2 a power of two) is
 
-    d(j) = (1/sqrt(T2)) * sum_t x[t] * W(t, j),    j = 0..T2-1,
+    d(j) = (1/sqrt(T2)) * sum_t x[t] * W(t, j),    j = 0..T2-1.
 
-computed in O(T2 log T2) by a butterfly: the iteration above is exactly
-the natural (Hadamard) ordered transform with bit-reversed sequency
-indexing, so we run the standard in-place butterfly and then apply the
-bit-reversal permutation.  The equivalence is validated against the
-iteration itself in the tests.  `fast_wft_batch` is the one transform: it
-takes a matrix of series already zero-padded to T2, one per row, and the
-feature pipeline keeps only each row's min and max (`features.local_ranges`).
-`walsh_value` and `walsh_matrix` are its test oracles.
-
-Integer input (category levels) whose bound max|x| * T2 is below 2**24
-takes an exact path instead; other integers run the butterfly as floats do.
 Write W_n for the table of order n and T2 = p*q with p and q powers of two.
 Sylvester's construction H_T2 = H_p (x) H_q, read through the bit-reversed
 sequency index, gives W_T2(a*q + b, e*p + c) = W_p(a, c) * W_q(b, e) for
-a, c < p and b, e < q.  So a row x reshaped to a (p, q) matrix X has the
-coefficient e*p + c at [c, e] of W_p^T X W_q, and as every Walsh table is
-symmetric, D = W_p X W_q holds it there: the transpose of D is the row in
-sequency order.  Two float32 BLAS products per row block then write the
+a, c < p and b, e < q.  Both kernels of `fast_wft_batch`, the one
+transform, read this identity; it takes series zero-padded to T2, one per
+row, and the feature pipeline keeps each row's min and max only.
+
+With q = 2 the identity is a butterfly of log2(T2) stages (Manz 1972): each
+stage adds and subtracts neighbouring samples and stores every sum before
+every difference, so the last stage leaves the row in sequency order with
+no permutation.  Floats, and integers at or above the bound below, run it.
+
+Integer input (category levels) whose bound max|x| * T2 is below 2**24
+takes an exact path with p = 2**(n_bits // 2).  A row x reshaped to a (p, q)
+matrix X has the coefficient e*p + c at [c, e] of W_p^T X W_q, and as every
+Walsh table is symmetric, D = W_p X W_q holds it there: the transpose of D
+is the row in sequency order.  W_p and W_q are the butterfly applied to
+identity matrices.  Two float32 BLAS products per row block then write the
 result with no gather.  Every product and partial sum is an integer of
 magnitude at most max|x| * T2, which float32 holds exactly, so the
 coefficients are exact whatever order BLAS adds in and equal the float64
 butterfly's bit for bit; the division by sqrt(T2) that follows is the same
 float64 division on both paths.  A zero sum is +0.0 on both paths: row 0
 and column 0 of W are all +1, so each sum of either product holds a +0.0 or
-a nonzero term.
+a nonzero term.  `walsh_value` and `walsh_matrix` evaluate the iteration
+itself: they are the test oracles of both kernels, and no package function
+calls them.
 """
 
 from __future__ import annotations
@@ -102,23 +104,26 @@ def walsh_matrix(t2: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=32)
-def _bit_reversal(n_bits: int) -> np.ndarray:
-    idx = np.arange(1 << n_bits, dtype=np.int64)
-    rev = np.zeros_like(idx)
-    for b in range(n_bits):
-        rev |= ((idx >> b) & 1) << (n_bits - 1 - b)
-    rev.setflags(write=False)
-    return rev
+def _butterfly(values: np.ndarray) -> np.ndarray:
+    """Unnormalized float64 transform along the last axis, in sequency order
+    and C-ordered: the identity of the module docstring with q = 2, once per bit."""
+    a = np.asarray(values, dtype=np.float64)[..., None, :]  # (..., coefficients fixed, samples left)
+    while (left := a.shape[-1]) > 1:
+        pairs = a.reshape(a.shape[:-1] + (left // 2, 2))
+        out = np.empty(a.shape[:-1] + (2, left // 2))
+        np.add(pairs[..., 0], pairs[..., 1], out=out[..., 0, :])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=out[..., 1, :])
+        a = out.reshape(a.shape[:-2] + (2 * a.shape[-2], left // 2))
+    return a.reshape(a.shape[:-1])
 
 
 @lru_cache(maxsize=32)
 def _sequency_factors(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """(W_p, W_q) for T2 = 2**n_bits = p * q with p = 2**(n_bits // 2): the
     Walsh tables of orders p and q (see the module docstring) as read-only,
-    C-ordered float32 copies."""
+    C-ordered float32 copies; every entry is +/-1, so float32 holds it."""
     p_bits = n_bits // 2
-    left, right = (walsh_matrix(1 << bits).astype(np.float32) for bits in (p_bits, n_bits - p_bits))
+    left, right = (_butterfly(np.eye(1 << bits)).astype(np.float32) for bits in (p_bits, n_bits - p_bits))
     left.setflags(write=False)
     right.setflags(write=False)
     return left, right
@@ -130,20 +135,6 @@ def _float32_exact(matrix: np.ndarray) -> bool:
         return False
     # Python ints: np.abs of int64's minimum would overflow
     return max(-int(matrix.min(initial=0)), int(matrix.max(initial=0))) * matrix.shape[-1] < 2**24
-
-
-def _fwht_natural(values: np.ndarray) -> np.ndarray:
-    """Unnormalized natural(Hadamard)-ordered transform along the last axis."""
-    a = np.array(values, dtype=np.float64, copy=True)
-    n = a.shape[-1]
-    h = 1
-    while h < n:
-        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        x, y = a[..., 0, :], a[..., 1, :]
-        a[..., 0, :], a[..., 1, :] = x + y, x - y  # both sums exist before either write
-        a = a.reshape(a.shape[:-3] + (n,))
-        h *= 2
-    return a
 
 
 def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
@@ -162,10 +153,7 @@ def fast_wft_batch(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"length {t2} is not a power of two")
     n_bits = t2.bit_length() - 1
     if not _float32_exact(matrix):
-        natural = _fwht_natural(matrix)
-        # np.take writes a C-ordered result; indexing with [..., rev] leaves 2-D ones F-ordered
-        sequency = np.take(natural, _bit_reversal(n_bits), axis=-1)
-        return np.divide(sequency, np.sqrt(t2), dtype=np.float64)
+        return np.divide(_butterfly(matrix), np.sqrt(t2), dtype=np.float64)
     left, right = _sequency_factors(n_bits)
     p, q = len(left), len(right)
     rows = matrix.reshape(-1, t2)

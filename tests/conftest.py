@@ -1,9 +1,9 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
 
 from walshscape import ARCHETYPES, Dataset, build_features, local_ranges, make_shard_plan, reduce_global_range
 
@@ -15,13 +15,12 @@ def truth_labels(dataset) -> np.ndarray:
 
 
 def label_agreement(truth: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of points matched under the best cluster-to-truth relabeling."""
+    """Fraction of points matched under the best cluster-to-truth relabeling,
+    tried over every permutation of the K clusters (K is small)."""
     k = int(max(truth.max(), labels.max()))
     confusion = np.zeros((k, k), dtype=np.int64)
-    for t, l in zip(truth, labels):
-        confusion[t - 1, l - 1] += 1
-    rows, cols = linear_sum_assignment(-confusion)
-    return confusion[rows, cols].sum() / len(truth)
+    np.add.at(confusion, (truth - 1, labels - 1), 1)
+    return max(confusion[range(k), perm].sum() for perm in itertools.permutations(range(k))) / len(truth)
 
 
 def synthetic_runs(n_per_archetype, s, k_max: int):

@@ -556,6 +556,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: level out of range at row 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "summarize"])
+    def test_j_beyond_2_64_is_data_error_naming_it(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"id,w,J,t0,t1\np1,1.0,{10**30},0,1\np2,1.0,{10**30},1,0\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\np1,1\np2,2\n")
+        out = tmp_path / "o"
+        extra = ("--K", "2") if command == "cluster" else ("--labels", str(labels))
+        assert run_cli(command, "--input", str(bad), "--out", str(out), *extra) == 2
+        assert capsys.readouterr().err == f"error: J must lie in 2..2**64; got J={10**30}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, where", [
         ("id,t0,t1\np1,0,1\n{long},0,1\n", "malformed row 2"),
         ("id,t0,{long}\np1,0,1\n", "malformed header"),
@@ -589,7 +601,9 @@ class TestExitCodes:
             (3, f"{ident},\u0663", "labels file row 3: label '\u0663' is not an integer"),
             (3, f"{ident}, 2 ", "labels file row 3: label ' 2 ' is not an integer"),
             (3, f"{ident},+-1", "labels file row 3: label '+-1' is not an integer"),
-            (3, f"{ident},-1", "labels must be 1-based cluster indices"),  # an integer, out of range
+            # integers, out of range
+            (3, f"{ident},-1", "labels file row 3: label '-1' is below 1; clusters are numbered from 1"),
+            (3, f"{ident},0", "labels file row 3: label '0' is below 1; clusters are numbered from 1"),
         ):
             path = tmp_path / "labels.csv"
             path.write_text("\n".join(lines[:line] + [bad_row] + lines[line + 1:]) + "\n")

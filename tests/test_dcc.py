@@ -173,6 +173,8 @@ class TestWorkerRound:
             worker_round(fm, None, 2, seed=0, round_index=2)
         with pytest.raises(ValueError):
             worker_round(fm, CentroidSet(centroids=np.zeros((2, 2))), 2, seed=0, round_index=1)
+        with pytest.raises(ValueError, match="^round_index starts at 1$"):
+            worker_round(fm, None, 2, seed=0, round_index=0)
 
     def test_dimension_mismatch_rejected(self):
         fm = feature_matrix(np.zeros((3, 4)))

@@ -135,6 +135,11 @@ class TestBuildFeatures:
         with pytest.raises(ValueError, match="stale|outside"):
             build_features(local_ranges(ds.levels), (0.0, 0.5), 10)
 
+    def test_empty_shard_rejected(self):
+        empty = (np.empty(0), np.empty(0))
+        with pytest.raises(ValueError, match="^shard must not be empty$"):
+            build_features(empty, (0.0, 1.0), 10)
+
     def test_shard_split_does_not_change_features(self):
         ds = generate_synthetic(20, 64, noise=0.1, seed=11)
         matrices = {}

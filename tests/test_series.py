@@ -100,14 +100,28 @@ class TestDatasetValidation:
         assert toy_dataset([[0, 1, 2]]).J == 3
         assert toy_dataset([[0, 0, 0]]).J == 2  # J is at least 2
 
+    @pytest.mark.parametrize("j", [1, 2**64 + 1, 10**30])
+    def test_j_outside_2_to_2_64_is_refused_naming_it(self, tmp_path, j):
+        message = rf"^J must lie in 2\.\.2\*\*64; got J={j}$"
+        with pytest.raises(DatasetError, match=message):
+            toy_dataset([[0, 0]], J=j)
+        path = tmp_path / "j.csv"
+        path.write_text(f"id,w,J,t0,t1\np1,1.0,{j},0,0\n")
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(path)
+
     def test_levels_order(self):
         ds = toy_dataset([[0, 1], [2, 0]])
         assert np.array_equal(ds.levels, [[0, 1], [2, 0]])
 
-    def test_levels_use_the_smallest_unsigned_dtype(self):
+    def test_levels_use_the_smallest_unsigned_dtype(self, tmp_path):
         assert toy_dataset([[0, 1], [2, 0]]).levels.dtype == np.uint8
         assert toy_dataset([[0, 1], [2, 0]], J=256).levels.dtype == np.uint8
         assert toy_dataset([[0, 1], [2, 0]], J=257).levels.dtype == np.uint16
+        path = tmp_path / "j.csv"  # the largest J, loaded as well
+        path.write_text(f"id,w,J,t0,t1\np1,1.0,{2**64},0,1\n")
+        for ds in (toy_dataset([[0, 1]], J=2**64), load_dataset(path)):
+            assert ds.J == 2**64 and ds.levels.dtype == np.uint64 and ds.levels.tolist() == [[0, 1]]
 
     def test_first_faulty_row_is_reported_whatever_the_fault(self):
         with pytest.raises(DatasetError, match="level out of range at row 2"):
@@ -254,6 +268,20 @@ class TestRoundTrips:
 
         assert traced_peak(load) < 2**20
 
+    def test_a_file_that_shrinks_after_the_size_check_is_truncated(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.bin"
+        path.write_bytes(binary_file(TWO_ROWS))
+
+        def short_reads(*args, **kwargs):  # each readinto fills all but the last byte, as a shrunk file would
+            fh = open(*args, **kwargs)
+            readinto = fh.readinto
+            fh.readinto = lambda buffer: readinto(memoryview(buffer).cast("B")[:-1])
+            return fh
+
+        monkeypatch.setattr(series_module, "open", short_reads, raising=False)
+        with pytest.raises(DatasetError, match="^truncated file$"):
+            load_dataset(path, format="binary")
+
     @pytest.mark.parametrize("field", ["id", "key", "value"])
     def test_binary_invalid_utf8_names_its_row(self, tmp_path, field):
         # the JSON block is decoded whole, so the message names the block, not the row
@@ -288,6 +316,12 @@ class TestRoundTrips:
 
 
 class TestSyntheticGeneration:
+    def test_template_refuses_an_unknown_archetype_and_a_length_below_2(self):
+        with pytest.raises(ValueError, match="^unknown archetype 'C4'$"):
+            archetype_template("C4", 8)
+        with pytest.raises(ValueError, match="^template length must be at least 2$"):
+            archetype_template("C1", 1)
+
     def test_workday_template_at_length_eight(self):
         assert list(archetype_template("C3", 8)) == [0, 0, 1, 2, 2, 2, 1, 0]
 

@@ -21,6 +21,26 @@ def naive_wft(values: np.ndarray) -> np.ndarray:
     return values @ w / math.sqrt(t2)
 
 
+def natural_butterfly_then_bit_reversal(values: np.ndarray) -> np.ndarray:
+    """Bit oracle of the sequency-ordered butterfly: the kernel it replaced, the
+    in-place natural (Hadamard) ordered butterfly followed by the bit-reversal
+    gather, unnormalized along the last axis."""
+    a = np.array(values, dtype=np.float64, copy=True)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        x, y = a[..., 0, :], a[..., 1, :]
+        a[..., 0, :], a[..., 1, :] = x + y, x - y  # both sums exist before either write
+        a = a.reshape(a.shape[:-3] + (n,))
+        h *= 2
+    n_bits = n.bit_length() - 1
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(n_bits):
+        rev |= ((np.arange(n) >> b) & 1) << (n_bits - 1 - b)
+    return np.take(a, rev, axis=-1)
+
+
 class TestNextPow2:
     def test_day_of_minutes_pads_to_2048(self):
         assert next_pow2(1440) == 2048
@@ -78,6 +98,13 @@ class TestWalshValue:
         w = walsh_matrix(32)
         assert set(np.unique(w)) == {-1, 1}
 
+    @pytest.mark.parametrize("t2", [0, 3, 12])
+    def test_oracles_refuse_a_length_that_is_not_a_power_of_two(self, t2):
+        with pytest.raises(ValueError, match="^t2 must be a power of two$"):
+            walsh_value(0, 0, t2)
+        with pytest.raises(ValueError, match="^t2 must be a power of two$"):
+            walsh_matrix(t2)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             walsh_value(8, 0, 8)
@@ -106,16 +133,33 @@ class TestFastWft:
         for i in range(7):
             assert np.array_equal(batch[i], fast_wft_batch(m[i][None])[0])
 
-    @pytest.mark.parametrize("t2", POW2_SIZES)
-    def test_butterfly_result_is_c_ordered(self, t2, rng):
-        # float input, and integers whose bound max|x| * T2 exceeds 2**53, run the butterfly
-        rev = wft_module._bit_reversal(t2.bit_length() - 1)
-        for rows in range(2, 9):
-            for m in (rng.normal(size=(rows, t2)), rng.integers(2**52, 2**60, size=(rows, t2))):
-                out = fast_wft_batch(m)
-                gathered = wft_module._fwht_natural(m)[..., rev]  # the F-ordered gather it replaced
-                assert out.flags.c_contiguous and out.shape == m.shape
-                assert out.tobytes() == (gathered / math.sqrt(t2)).tobytes()
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_bits=st.integers(0, 14),
+        rows=st.integers(1, 8),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        kind=st.sampled_from(["normal", "huge", "tiny", "signed zeros", "above 2**53", "int64 minimum"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_bits=16, rows=2, batch=(2,), kind="normal", seed=0)
+    def test_butterfly_result_is_c_ordered(self, n_bits, rows, batch, kind, seed):
+        # floats, and integers whose bound max|x| * T2 reaches 2**24, run the butterfly
+        t2, rng = 1 << n_bits, np.random.default_rng(seed)
+        shape = batch + (rows, t2)
+        m = {
+            "normal": lambda: rng.normal(size=shape),
+            "huge": lambda: rng.normal(size=shape) * 1e300,
+            "tiny": lambda: rng.normal(size=shape) * 1e-300,
+            "signed zeros": lambda: rng.choice([0.0, -0.0], size=shape),
+            "above 2**53": lambda: rng.integers(2**53, 2**62, size=shape) * rng.choice([-1, 1], size=shape),
+            "int64 minimum": lambda: np.where(rng.random(shape) < 0.5, np.iinfo(np.int64).min,
+                                              rng.integers(-3, 4, size=shape)),
+        }[kind]()
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 sums may reach inf, inf - inf nan
+            out = fast_wft_batch(m)
+            expected = natural_butterfly_then_bit_reversal(m) / math.sqrt(t2)
+        assert out.flags.c_contiguous and out.shape == m.shape
+        assert out.tobytes() == expected.tobytes()
 
     def test_parseval_at_full_day_length(self, rng):
         for _ in range(20):
@@ -189,7 +233,7 @@ class TestIntegerPath:
         m[rng.integers(rows), rng.integers(t2)] = -cap if signed else cap  # the bound is exactly cap * T2
         assert fast_wft_batch(m).tobytes() == fast_wft_batch(m.astype(np.float64)).tobytes()
 
-    @pytest.mark.parametrize("n_bits", range(17))
+    @pytest.mark.parametrize("n_bits", range(19))
     def test_factors_are_the_walsh_tables_of_the_two_halves(self, n_bits):
         p_bits = n_bits // 2
         factors = wft_module._sequency_factors(n_bits)
@@ -198,8 +242,11 @@ class TestIntegerPath:
             assert np.array_equal(factor, walsh_matrix(1 << bits))
 
     def test_small_levels_skip_the_butterfly(self, monkeypatch, rng):
-        monkeypatch.setattr(wft_module, "_fwht_natural", None)  # any butterfly call fails
-        for t2 in (1, 2, 64, 2048):
+        sizes = (1, 2, 64, 2048)
+        for t2 in sizes:  # the butterfly builds the cached tables first
+            wft_module._sequency_factors(t2.bit_length() - 1)
+        monkeypatch.setattr(wft_module, "_butterfly", None)  # any butterfly call fails
+        for t2 in sizes:
             m = rng.integers(-3, 4, size=(5, t2))
             out = fast_wft_batch(m)
             assert out.dtype == np.float64
@@ -232,8 +279,8 @@ class TestIntegerPath:
 
     def test_int64_minimum_takes_the_butterfly(self, monkeypatch):
         calls = []
-        real = wft_module._fwht_natural
-        monkeypatch.setattr(wft_module, "_fwht_natural", lambda v: calls.append(v.shape) or real(v))
+        real = wft_module._butterfly
+        monkeypatch.setattr(wft_module, "_butterfly", lambda v: calls.append(v.shape) or real(v))
         row = np.array([[np.iinfo(np.int64).min, 0, 1, -1]])
         out = fast_wft_batch(row)
         assert calls == [(1, 4)]

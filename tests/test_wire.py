@@ -325,6 +325,33 @@ class TestSocketTransport:
         assert inproc.centroids.centroids.tobytes() == socketed.centroids.centroids.tobytes()
         assert (inproc.wcss_per_shard, inproc.rounds_used) == (socketed.wcss_per_shard, socketed.rounds_used)
 
+    @needs_fork
+    def test_a_failed_socket_pair_exits_3_and_leaves_no_worker(self, monkeypatch, tmp_path, capsys):
+        data, out = tmp_path / "data.bin", tmp_path / "run"
+        assert main(["synth", "--n", "4", "--T", "32", "--out", str(data), "--format", "binary"]) == 0
+        pairs, forked, real_pair, real_fork = [], [], socket.socketpair, wire._fork_worker
+
+        def second_pair_fails():  # worker 1 is running when the second pair is asked for
+            pairs.append(None)
+            if len(pairs) == 2:
+                raise OSError(24, "Too many open files")
+            return real_pair()
+
+        def recording_fork(conn, inherited):
+            forked.append(real_fork(conn, inherited))
+            return forked[-1]
+
+        monkeypatch.setattr(socket, "socketpair", second_pair_fails)
+        monkeypatch.setattr(wire, "_fork_worker", recording_fork)
+        code = main(["cluster", "--input", str(data), "--format", "binary", "--out", str(out),
+                     "--K", "2", "--S", "2", "--transport", "socket"])
+        assert code == 3
+        assert capsys.readouterr().err == "protocol fault: socket transport failed: [Errno 24] Too many open files\n"
+        assert not out.exists()
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):  # reaped: no zombie and no running child is left
+            os.waitpid(forked[0], os.WNOHANG)
+
     def test_socket_transport_without_fork_raises_before_the_feature_pass(self, monkeypatch):
         def refuse(levels):
             raise AssertionError("the range pass ran")
