@@ -66,12 +66,12 @@ except ImportError:
     print("matplotlib not installed; skipping elbow.png")
 
 print("\n=== Summaries ===")
-proportions = minute_proportions(dataset, result.labels, k=3)
+proportions = minute_proportions(dataset, result.labels)
 for cluster, table in proportions.items():
     daytime_out = table[600:900, 2].mean()  # share at level 2 around midday
     print(f"  cluster {cluster}: mean midday out-of-home share = {daytime_out:.2f}")
 
-composition = composition_table(dataset, result.labels, k=3, attribute="truth")
+composition = composition_table(dataset, result.labels, attribute="truth")
 print("\nweighted composition by planted archetype (share within archetype):")
 for cluster, value, share in zip(composition["clusters"], composition["values"],
                                  composition["share_within_value"]):

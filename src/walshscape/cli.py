@@ -344,15 +344,14 @@ def cmd_summarize(args) -> None:
         _check_title("--attributes", attribute, attribute)
     dataset = load_dataset(args.input, format=args.format)
     labels = _read_labels(args.labels, dataset)
-    k = int(labels.max(initial=1))
-    _check_titles(names, k)
+    _check_titles(names, int(labels.max(initial=1)))
 
     files: dict[str, str] = {}
-    for cluster, table in minute_proportions(dataset, labels, k).items():
+    for cluster, table in minute_proportions(dataset, labels).items():
         files[f"proportions_{_title(names, cluster)}.csv"] = _proportions_csv(table)
 
     for attribute in attributes:
-        table = composition_table(dataset, labels, k, attribute)
+        table = composition_table(dataset, labels, attribute)
         rows = zip(table["clusters"].tolist(), table["values"], table["weighted_count"].tolist(),
                    table["share_within_value"].tolist(), table["share_within_cluster"].tolist())
         files[f"composition_{attribute}.csv"] = _csv_text([

@@ -318,6 +318,13 @@ def _save_csv(dataset: Dataset, path) -> None:
             fh.buffer.write(b"".join(parts))
 
 
+def _ascii_number(text: str) -> str:
+    """text, or ValueError if it holds '_' or non-ASCII: int() reads '1_0' as 10 and '٣' as 3."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
+
 class _CsvColumns:
     """A dataset CSV header's layout, and its head columns (id, w, J, attr:*) filled row by row."""
 
@@ -343,12 +350,12 @@ class _CsvColumns:
     def add(self, row: list[str], rownum: int) -> None:
         """Decode the id, weight, J and attribute fields of the 1-based data row `rownum`."""
         try:
-            self.weights.append(float(row[self.w_col]) if self.w_col is not None else 1.0)
+            self.weights.append(float(_ascii_number(row[self.w_col])) if self.w_col is not None else 1.0)
         except ValueError:
             raise DatasetError(f"malformed row {rownum}: bad weight {row[self.w_col]!r}") from None
         if self.j_col is not None:
             try:
-                row_j = int(row[self.j_col])
+                row_j = int(_ascii_number(row[self.j_col]))
             except ValueError:
                 raise DatasetError(f"malformed row {rownum}: bad J {row[self.j_col]!r}") from None
             if self.J is None:
@@ -369,7 +376,7 @@ def _load_csv(path) -> Dataset:
 
 
 def _load_csv_rows(path) -> Dataset:
-    """The reference reader: csv.reader, and int() on every level cell."""
+    """The reference reader: csv.reader, and int() on every level cell of an ASCII row with no '_'."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -388,8 +395,10 @@ def _load_csv_rows(path) -> Dataset:
                         f"malformed row {rownum}: expected {columns.width} fields, got {len(row)}"
                     )
                 columns.add(row, rownum)
+                cells = [row[k] for k in columns.level_cols]
                 try:
-                    levels.fromlist([int(row[k]) for k in columns.level_cols])
+                    _ascii_number("".join(cells))  # once per row: a check per cell slows the loop
+                    levels.fromlist(list(map(int, cells)))
                 except ValueError:
                     raise DatasetError(f"malformed row {rownum}: non-integer level") from None
                 except OverflowError:  # beyond int64

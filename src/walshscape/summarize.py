@@ -15,8 +15,8 @@ import numpy as np
 from .series import Dataset
 
 
-def _check_labels(dataset: Dataset, labels, k: int) -> np.ndarray:
-    """labels as int64, one per series, each in 1..k; raises ValueError otherwise."""
+def _check_labels(dataset: Dataset, labels) -> np.ndarray:
+    """labels as int64, one per series, each at least 1; raises ValueError otherwise."""
     labels = np.asarray(labels)
     if len(labels) != dataset.N:
         raise ValueError(f"labels length {len(labels)} does not match dataset size {dataset.N}")
@@ -25,35 +25,34 @@ def _check_labels(dataset: Dataset, labels, k: int) -> np.ndarray:
     labels = labels.astype(np.int64, copy=False)
     if len(labels) and labels.min() < 1:
         raise ValueError("labels must be 1-based cluster indices")
-    if labels.max(initial=1) > k:
-        raise ValueError("label exceeds K")
     return labels
 
 
-def minute_proportions(dataset: Dataset, labels, k: int) -> dict[int, np.ndarray]:
+def minute_proportions(dataset: Dataset, labels) -> dict[int, np.ndarray]:
     """Weighted per-minute level proportions per cluster.
 
-    Returns a dict mapping each non-empty cluster in 1..k to a (T, J)
-    matrix whose rows sum to 1.  Clusters with zero total weight are
-    skipped.
+    Returns a dict mapping each label present, in increasing order, to a
+    (T, J) matrix whose rows sum to 1.  Clusters with zero total weight
+    are skipped.  Raises ValueError if J exceeds the largest array index.
     """
-    labels = _check_labels(dataset, labels, k)
+    labels = _check_labels(dataset, labels)
+    if dataset.J > np.iinfo(np.intp).max:  # bincount's minlength
+        raise ValueError(f"J = {dataset.J} is too large for a proportions table")
     out: dict[int, np.ndarray] = {}
     for cluster in sorted(set(labels.tolist())):  # the clusters present
         members = labels == cluster
-        total = dataset.weights[members].sum()
-        if total == 0.0:
+        w = dataset.weights[members]
+        if (total := w.sum()) == 0.0:
             continue
         # bincount adds each minute's weights in row order, the summation
         # order that the proportions files depend on bit for bit
         minutes = np.ascontiguousarray(dataset.levels[members].T)
-        w = dataset.weights[members]
         table = np.stack([np.bincount(column, weights=w, minlength=dataset.J) for column in minutes])
         out[cluster] = table / total
     return out
 
 
-def composition_table(dataset: Dataset, labels, k: int, attribute: str) -> dict:
+def composition_table(dataset: Dataset, labels, attribute: str) -> dict:
     """Weighted composition of clusters by one attribute, as five aligned columns.
 
     One entry per (cluster, value) pair that occurs, zero-weight pairs
@@ -63,7 +62,7 @@ def composition_table(dataset: Dataset, labels, k: int, attribute: str) -> dict:
     is 0.0).  Series missing the attribute are excluded.  Raises
     ValueError if no series carries the attribute.
     """
-    labels = _check_labels(dataset, labels, k)
+    labels = _check_labels(dataset, labels)
     if attribute not in dataset.attributes:
         raise ValueError(f"unknown attribute {attribute!r}: no series carries it")
     column = dataset.attributes[attribute]

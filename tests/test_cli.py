@@ -370,6 +370,21 @@ class TestSummarize:
         composition = (out / "composition_truth.csv").read_text()
         assert "\n1000000000,cluster1000000000," in composition and "\n2,night," in composition
 
+    @pytest.mark.parametrize("J", [2**63, 2**64])
+    def test_a_j_beyond_the_largest_array_index_is_one_error_line(self, tmp_path, J, capsys):
+        # bincount's minlength is a C long, which cannot hold such a J
+        data = tmp_path / "data.csv"
+        levels = ["0,1,0,1", "1,1,0,0", "0,0,0,1", "1,0,1,1", "0,1,1,0", "1,1,1,1"]
+        data.write_text("id,J,t0,t1,t2,t3\n" + "".join(f"s{i},{J},{row}\n" for i, row in enumerate(levels)))
+        run, out = tmp_path / "run", tmp_path / "summary"
+        assert run_cli("cluster", "--input", str(data), "--out", str(run), "--K", "2", "--S", "1",
+                       "--L", "10") == 0
+        capsys.readouterr()
+        assert run_cli("summarize", "--input", str(data), "--labels", str(run / "labels.csv"),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: J = {J} is too large for a proportions table\n"
+        assert not out.exists()
+
     def test_ids_and_values_with_commas_quotes_and_newlines_survive(self, tmp_path):
         awkward = ["a,1", 'b"2', "c\n3"]
         base = generate_synthetic(4, 32, noise=0.05, seed=1)

@@ -24,7 +24,7 @@ from walshscape import series as series_module
 
 PLAIN = "abcxyz09 .-_é"  # characters csv.reader never treats specially
 SPECIAL = ',"\n'  # characters that make csv.writer quote a field
-INT_ONLY = {" 1": 1, "+1": 1, "01": 1, "1_0": 10}  # cells int() reads but the bulk reader does not
+INT_ONLY = {" 1": 1, "+1": 1, "01": 1}  # cells int() reads but the bulk reader does not
 
 
 def outcome(loader, path):
@@ -112,6 +112,12 @@ CORRUPT_ROWS = [
     pytest.param("p2,1.0,4,0,1", "inconsistent J at row 2", False, id="inconsistent-j"),
     pytest.param("p2,nan,3,0,1", "non-finite weight at row 2", True, id="nan-weight"),
     pytest.param("p2,1.0,3,0,x", "malformed row 2: non-integer level", False, id="non-digit"),
+    # float() and int() read '_' between digits and non-ASCII digits; the readers do not
+    pytest.param("p2,1_0.5,3,0,1", "malformed row 2: bad weight '1_0.5'", False, id="underscore-weight"),
+    pytest.param("p2,1.0,1_1,0,1", "malformed row 2: bad J '1_1'", False, id="underscore-j"),
+    pytest.param("p2,1.0,٣,0,1", "malformed row 2: bad J '٣'", False, id="non-ascii-j"),
+    pytest.param("p2,1.0,3,1_0,0", "malformed row 2: non-integer level", False, id="underscore-level"),
+    pytest.param("p2,1.0,3,0,٢", "malformed row 2: non-integer level", False, id="non-ascii-level"),
     pytest.param("p2,1.0,3,0;1", "malformed row 2: expected 5 fields, got 4", False,
                  id="no-comma-between-digits"),
     pytest.param("", "malformed row 2: expected 5 fields, got 0", False, id="blank-line"),

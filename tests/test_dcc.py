@@ -1,4 +1,3 @@
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -33,6 +32,7 @@ from conftest import (
     toy_dataset,
     truth_labels,
 )
+from reference import assert_equal_but_for_the_timers, plain_run_rounds
 
 
 def feature_matrix(rows) -> np.ndarray:
@@ -431,51 +431,7 @@ class TestElbowSweep:
         assert [r.K for r in results] == [3, 4]
         assert results[1].cycle_period is not None  # both a converging and an oscillating run
         for swept in results:
-            single = run_dcc(dataset, k=swept.K, s=2, length=20, seed=3)
-            for field in dataclasses.fields(single):
-                if field.name in ("feature_seconds", "kmeans_seconds"):
-                    continue
-                a, b = getattr(swept, field.name), getattr(single, field.name)
-                if field.name in ("labels", "order"):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-                elif field.name == "centroids":
-                    assert a.centroids.tobytes() == b.centroids.tobytes()
-                elif field.name == "worker_centroids":
-                    assert [c.centroids.tobytes() for c in a] == [c.centroids.tobytes() for c in b]
-                else:
-                    assert a == b, field.name
-
-
-def plain_run_rounds(matrices, k, seed, max_rounds):
-    """The in-process round loop without cycle skipping, kept as the oracle: every round runs."""
-    worker_seeds = [derive_seed(seed, wid) for wid in range(1, len(matrices) + 1)]
-    retained = [None] * len(matrices)
-    master_seed = derive_seed(seed, 0)
-    consensus = None
-    for i in range(1, max_rounds + 1):
-        messages = []
-        for wid, features in enumerate(matrices, start=1):
-            msg, retained[wid - 1] = worker_round(
-                features, consensus, k, worker_seeds[wid - 1], i,
-                worker_id=wid, prev=retained[wid - 1],
-            )
-            messages.append(msg)
-        converged = all(m.flag == 0 for m in messages)
-        if converged:
-            break
-        consensus = master_consensus(messages, k, master_seed)
-    return retained, tuple(m.centroids for m in messages), consensus, i, converged, None, None
-
-
-def assert_same_run(actual, expected):
-    assert np.array_equal(actual.labels, expected.labels)
-    assert actual.centroids.centroids.tobytes() == expected.centroids.centroids.tobytes()
-    assert [c.centroids.tobytes() for c in actual.worker_centroids] == [
-        c.centroids.tobytes() for c in expected.worker_centroids
-    ]
-    assert actual.wcss_per_shard == expected.wcss_per_shard
-    assert actual.wcss == expected.wcss
-    assert (actual.rounds_used, actual.converged) == (expected.rounds_used, expected.converged)
+            assert_equal_but_for_the_timers(swept, run_dcc(dataset, k=swept.K, s=2, length=20, seed=3))
 
 
 class TestCycleSkip:
@@ -498,7 +454,7 @@ class TestCycleSkip:
             actual = run_dcc(dataset, k=k, s=s, length=20, seed=seed, max_rounds=budget)
             with mock.patch.object(dcc_module, "_run_rounds", plain_run_rounds):
                 expected = run_dcc(dataset, k=k, s=s, length=20, seed=seed, max_rounds=budget)
-            assert_same_run(actual, expected)
+            assert_equal_but_for_the_timers(actual, expected)
             if actual.cycle_period is not None:
                 assert not actual.converged
                 assert 2 <= actual.cycle_start

@@ -5,43 +5,7 @@ from hypothesis import strategies as st
 
 from walshscape import Assignment, CentroidSet, init_uniform, kmeans, lloyd
 
-
-def oracle_lloyd(points, init, max_iters=1000, on_iteration=None):
-    """`lloyd` before the per-cluster pass, unweighted: the (n, K, L) distance
-    temporary and `np.add.at` centroid sums.  Kept as the reference."""
-    x = np.asarray(points, dtype=np.float64)
-    c = np.array(init.centroids, dtype=np.float64, copy=True)
-    k = len(c)
-    n = len(x)
-    labels_prev = None
-    labels = np.zeros(n, dtype=np.int64)
-    wcss = 0.0
-    for it in range(max_iters):
-        d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        wcss = float(d2[np.arange(n), labels].sum())
-        if on_iteration is not None:
-            on_iteration(wcss)
-        if labels_prev is not None and np.array_equal(labels, labels_prev):
-            break
-        labels_prev = labels
-        if it == max_iters - 1:
-            break
-
-        sums = np.zeros_like(c)
-        np.add.at(sums, labels, x)
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        filled = counts > 0
-        c[filled] = sums[filled] / counts[filled, None]
-
-        if not filled.all():
-            dist_to_own = ((x - c[labels]) ** 2).sum(axis=1)
-            for empty in np.flatnonzero(~filled):
-                far = int(dist_to_own.argmax())
-                c[empty] = x[far]
-                dist_to_own[far] = -np.inf
-
-    return Assignment(labels=labels + 1, wcss=wcss), CentroidSet(centroids=c)
+from reference import oracle_lloyd
 
 
 def run_traced(kernel, points, init, max_iters):

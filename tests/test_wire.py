@@ -24,6 +24,7 @@ from walshscape.wire import (
 )
 
 from conftest import synthetic_runs, traced_peak
+from reference import assert_equal_but_for_the_timers
 
 
 class TestFrames:
@@ -437,24 +438,6 @@ class TestReplyChecks:
         assert capsys.readouterr().err.startswith("protocol fault: worker 2: RESULT needs 45 labels in 1..3, "
                                                   "WCSS in [0, inf); got 45 labels [4, 5, 6], WCSS ")
         assert not out.exists()
-
-
-def assert_equal_but_for_the_timers(a, b):
-    """Every ClusterResult field bit for bit, the two timers aside."""
-    for field in dataclasses.fields(a):
-        if field.name in ("feature_seconds", "kmeans_seconds"):
-            continue
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
-        elif field.name == "centroids":
-            assert (x.centroids.shape, x.centroids.tobytes()) == (y.centroids.shape, y.centroids.tobytes())
-        elif field.name == "worker_centroids":
-            assert [(c.centroids.shape, c.centroids.tobytes()) for c in x] == [
-                (c.centroids.shape, c.centroids.tobytes()) for c in y
-            ]
-        else:
-            assert x == y, field.name
 
 
 @needs_fork
